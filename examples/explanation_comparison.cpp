@@ -92,7 +92,7 @@ int main() {
   dcam_examples::Banner("concurrent ExplainService (batching + cache)");
   {
     explain::ExplainService service;
-    service.RegisterModel(ModelSpec("dcnn", &model));
+    service.RegisterModel(explain::ModelSpec("dcnn", &model));
     explain::ExplainRequest req;
     req.model_id = "dcnn";
     req.method = "dcam";
@@ -123,7 +123,7 @@ int main() {
   dcam_examples::Banner("async clients (callback + completion queue)");
   {
     explain::ExplainService service;
-    service.RegisterModel(ModelSpec("dcnn", &model));
+    service.RegisterModel(explain::ModelSpec("dcnn", &model));
     explain::ExplainRequest req;
     req.model_id = "dcnn";
     req.method = "dcam";

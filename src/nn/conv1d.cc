@@ -71,29 +71,30 @@ Tensor Conv1d::Forward(const Tensor& input, bool training) {
   EnsureTensorShape(&col_, {B, CK, Lout});
   Tensor out({B, Cout, Lout});
   const float* in = input.data();
-  float* col = col_.data();
-  ParallelFor(0, B, [&](int64_t b) {
-    gemm::Im2Col1d(in + b * Cin * L, Cin, L, K, P, col + b * CK * Lout);
-  });
-
-  // Per instance: out_b (Cout, Lout) = W (Cout, Cin*K) * col_b (Cin*K, Lout),
-  // accumulating onto the bias-initialized output. The GEMM threads
-  // internally, so the batch loop stays serial.
   const float* w = weight_.value.data();
   const float* bias = bias_.value.data();
+  float* col = col_.data();
   float* o = out.data();
-  for (int64_t b = 0; b < B; ++b) {
-    float* ob = o + b * Cout * Lout;
-    float beta = 0.0f;
-    if (use_bias_) {
+  // One pass over the batch lowers each instance and, with a bias, fills its
+  // output rows for the GEMM to accumulate onto.
+  ParallelMorsel(0, B, 1, [&](int /*worker*/, int64_t lo, int64_t hi) {
+    for (int64_t b = lo; b < hi; ++b) {
+      gemm::Im2Col1d(in + b * Cin * L, Cin, L, K, P, col + b * CK * Lout);
+      if (!use_bias_) continue;
+      float* ob = o + b * Cout * Lout;
       for (int64_t co = 0; co < Cout; ++co) {
         float* orow = ob + co * Lout;
         for (int64_t i = 0; i < Lout; ++i) orow[i] = bias[co];
       }
-      beta = 1.0f;
     }
-    gemm::SgemmNN(Cout, Lout, CK, 1.0f, w, col + b * CK * Lout, beta, ob);
-  }
+  });
+
+  // Per instance: out_b (Cout, Lout) = W (Cout, Cin*K) * col_b (Cin*K, Lout)
+  // (+ the bias already in out_b). One batched GEMM covers every instance's
+  // blocks in a single morsel sweep, each blocked as a lone GEMM would be.
+  gemm::SgemmStridedBatched(false, false, B, Cout, Lout, CK, 1.0f, w, CK, col,
+                            Lout, CK * Lout, use_bias_ ? 1.0f : 0.0f, o, Lout,
+                            Cout * Lout);
   return out;
 }
 

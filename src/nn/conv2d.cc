@@ -79,30 +79,31 @@ Tensor Conv2d::Forward(const Tensor& input, bool training) {
   EnsureTensorShape(&col_, {B, CKK, HW});
   Tensor out({B, Cout, Hout, Wout});
   const float* in = input.data();
-  float* col = col_.data();
-  ParallelFor(0, B, [&](int64_t b) {
-    gemm::Im2Col2d(in + b * Cin * H * W, Cin, H, W, KH, KW, PH, PW,
-                   col + b * CKK * HW);
-  });
-
-  // Per instance: out_b (Cout, HW) = W (Cout, Cin*KH*KW) * col_b (CKK, HW),
-  // accumulating onto the bias-initialized output. The GEMM threads
-  // internally, so the batch loop stays serial.
   const float* w = weight_.value.data();
   const float* bias = bias_.value.data();
+  float* col = col_.data();
   float* o = out.data();
-  for (int64_t b = 0; b < B; ++b) {
-    float* ob = o + b * Cout * HW;
-    float beta = 0.0f;
-    if (use_bias_) {
+  // One pass over the batch lowers each instance and, with a bias, fills its
+  // output planes for the GEMM to accumulate onto.
+  ParallelMorsel(0, B, 1, [&](int /*worker*/, int64_t lo, int64_t hi) {
+    for (int64_t b = lo; b < hi; ++b) {
+      gemm::Im2Col2d(in + b * Cin * H * W, Cin, H, W, KH, KW, PH, PW,
+                     col + b * CKK * HW);
+      if (!use_bias_) continue;
+      float* ob = o + b * Cout * HW;
       for (int64_t co = 0; co < Cout; ++co) {
         float* oplane = ob + co * HW;
         for (int64_t i = 0; i < HW; ++i) oplane[i] = bias[co];
       }
-      beta = 1.0f;
     }
-    gemm::SgemmNN(Cout, HW, CKK, 1.0f, w, col + b * CKK * HW, beta, ob);
-  }
+  });
+
+  // Per instance: out_b (Cout, HW) = W (Cout, Cin*KH*KW) * col_b (CKK, HW)
+  // (+ the bias already in out_b). One batched GEMM covers every instance's
+  // blocks in a single morsel sweep, each blocked as a lone GEMM would be.
+  gemm::SgemmStridedBatched(false, false, B, Cout, HW, CKK, 1.0f, w, CKK, col,
+                            HW, CKK * HW, use_bias_ ? 1.0f : 0.0f, o, HW,
+                            Cout * HW);
   return out;
 }
 

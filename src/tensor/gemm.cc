@@ -362,36 +362,53 @@ void SmallGemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
 }  // namespace
 
-void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-           float alpha, const float* a, int64_t lda, const float* b,
-           int64_t ldb, float beta, float* c, int64_t ldc) {
+void SgemmStridedBatched(bool trans_a, bool trans_b, int64_t batch,
+                         int64_t m, int64_t n, int64_t k, float alpha,
+                         const float* a, int64_t lda, const float* b,
+                         int64_t ldb, int64_t stride_b, float beta, float* c,
+                         int64_t ldc, int64_t stride_c) {
+  DCAM_CHECK_GE(batch, 0);
   DCAM_CHECK_GE(m, 0);
   DCAM_CHECK_GE(n, 0);
   DCAM_CHECK_GE(k, 0);
   DCAM_CHECK_GE(lda, trans_a ? m : k);
   DCAM_CHECK_GE(ldb, trans_b ? k : n);
   DCAM_CHECK_GE(ldc, n);
-  if (m == 0 || n == 0) return;
+  if (batch == 0 || m == 0 || n == 0) return;
+  // Instances' blocks run in any order on any worker, so their C matrices
+  // must not overlap.
+  if (batch > 1) {
+    DCAM_CHECK_GE(stride_c, (m - 1) * ldc + n);
+  }
   if (k == 0 || alpha == 0.0f) {
-    ScaleC(m, n, beta, c, ldc);
+    for (int64_t inst = 0; inst < batch; ++inst) {
+      ScaleC(m, n, beta, c + inst * stride_c, ldc);
+    }
     return;
   }
   if (m * n * k <= kSmallFlops) {
-    SmallGemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+    for (int64_t inst = 0; inst < batch; ++inst) {
+      SmallGemm(trans_a, trans_b, m, n, k, alpha, a, lda, b + inst * stride_b,
+                ldb, beta, c + inst * stride_c, ldc);
+    }
     return;
   }
 
   const KernelSet& ks = ActiveKernels();
   const int64_t iblocks = (m + kMc - 1) / kMc;
   const int64_t jblocks = (n + kNc - 1) / kNc;
-  // Morsel grain over the C-block grid: a chunk is a contiguous run of
-  // blocks in j-major order, so the packed-A panel (which depends only on
-  // the i-row) is derived once per run instead of once per block. Capped at
-  // one i-row (jblocks) — longer chunks would re-pack A anyway — and floored
-  // at 2 so even tiny grids amortize at least one repack.
-  const int64_t grid = iblocks * jblocks;
+  // The C-block grid is (i-block, instance, j-block), j fastest. Every
+  // instance is blocked from its own column 0, exactly as a lone Sgemm over
+  // it would be, so its result does not depend on the batch around it. A
+  // morsel is a contiguous run of blocks, so the packed-A panel (shared by
+  // all instances; it depends only on the i-row) is derived once per run
+  // instead of once per block. Capped at one i-row (batch * jblocks) —
+  // longer chunks would re-pack A anyway — and floored at 2 so even tiny
+  // grids amortize at least one repack.
+  const int64_t row_blocks = batch * jblocks;
+  const int64_t grid = iblocks * row_blocks;
   const int64_t grain = std::min(
-      jblocks, std::max<int64_t>(2, GlobalPool().AdaptiveGrainFor(grid)));
+      row_blocks, std::max<int64_t>(2, GlobalPool().AdaptiveGrainFor(grid)));
   for (int64_t pc = 0; pc < k; pc += kKc) {
     const int64_t kc = std::min(kKc, k - pc);
     // The first k-slab applies the caller's beta; later slabs accumulate.
@@ -408,7 +425,8 @@ void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       float* pack_b = arena.AllocateFloats(static_cast<size_t>(kKc * kNc));
       int64_t packed_i0 = -1;
       for (int64_t t = lo; t < hi; ++t) {
-        const int64_t i0 = (t / jblocks) * kMc;
+        const int64_t i0 = (t / row_blocks) * kMc;
+        const int64_t inst = (t % row_blocks) / jblocks;
         const int64_t j0 = (t % jblocks) * kNc;
         const int64_t mc = std::min(kMc, m - i0);
         const int64_t nc = std::min(kNc, n - j0);
@@ -416,7 +434,8 @@ void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           PackA(a, lda, trans_a, alpha, i0, pc, mc, kc, pack_a);
           packed_i0 = i0;
         }
-        PackB(b, ldb, trans_b, pc, j0, kc, nc, pack_b);
+        PackB(b + inst * stride_b, ldb, trans_b, pc, j0, kc, nc, pack_b);
+        float* cblock = c + inst * stride_c + i0 * ldc + j0;
         int64_t jr = 0;
         if (ks.full16 != nullptr) {
           for (; jr + 2 * kNr <= nc; jr += 2 * kNr) {
@@ -427,7 +446,7 @@ void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
               const int64_t rows = std::min(kMr, mc - ir);
               const Kernel16Fn k16 =
                   rows == kMr ? ks.full16 : ks.edge16[rows];
-              k16(kc, pa, pb0, pb1, c + (i0 + ir) * ldc + j0 + jr, ldc, rows,
+              k16(kc, pa, pb0, pb1, cblock + ir * ldc + jr, ldc, rows,
                   beta_eff);
             }
           }
@@ -438,13 +457,20 @@ void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
             const float* pa = pack_a + (ir / kMr) * kMr * kc;
             const int64_t rows = std::min(kMr, mc - ir);
             const Kernel8Fn k8 = rows == kMr ? ks.full8 : ks.edge8[rows];
-            k8(kc, pa, pb, c + (i0 + ir) * ldc + j0 + jr, ldc, rows,
+            k8(kc, pa, pb, cblock + ir * ldc + jr, ldc, rows,
                std::min(kNr, nc - jr), beta_eff);
           }
         }
       }
     });
   }
+}
+
+void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+           float alpha, const float* a, int64_t lda, const float* b,
+           int64_t ldb, float beta, float* c, int64_t ldc) {
+  SgemmStridedBatched(trans_a, trans_b, /*batch=*/1, m, n, k, alpha, a, lda,
+                      b, ldb, /*stride_b=*/0, beta, c, ldc, /*stride_c=*/0);
 }
 
 void Im2Col2d(const float* in, int64_t C, int64_t H, int64_t W, int64_t KH,

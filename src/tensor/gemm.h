@@ -3,13 +3,15 @@
 // Every hot path of the reproduction — Dense/Recurrent matmuls and, through
 // im2col lowering, the Conv1d/Conv2d forward and backward passes that
 // dominate dCAM's k-permutation loop (Sections 3-4 of the paper) — bottoms
-// out in the single Sgemm entry point below. The implementation follows the
-// classical Goto/BLIS decomposition: the k dimension is split into KC-deep
-// slabs, each slab's A and B blocks are packed into contiguous MR-row /
-// NR-column panels (transposition and the alpha scale are absorbed by the
-// packing), and a register-tiled MR x NR microkernel accumulates panel
-// products into C. Block pairs of C are independent, so the (row-block,
-// column-block) grid is distributed over the global ThreadPool.
+// out in the one blocked GEMM below (Sgemm is its batch = 1 case). It
+// follows the classical Goto/BLIS decomposition: the k dimension is split
+// into KC-deep slabs, each slab's A and B blocks are packed into contiguous
+// MR-row / NR-column panels (transposition and the alpha scale are absorbed
+// by the packing), and a register-tiled MR x NR microkernel accumulates
+// panel products into C. Block pairs of C are independent, so the
+// (row-block, column-block) grid is distributed over the global ThreadPool.
+// The strided batched form extends that grid by an instance axis, so a conv
+// layer's whole batch is one sweep.
 //
 // All matrices are row-major with explicit leading dimensions, BLAS-style,
 // so callers can address sub-matrices (e.g. one instance of a batched
@@ -73,10 +75,31 @@ const char* BackendName();
 /// morsel sweep over the (i, j) block grid of the global pool — workers pack
 /// panels into their thread-local arena — unless called from inside a
 /// parallel region (then serial) or the problem is too small to amortize
-/// packing.
+/// packing. The batch = 1 case of SgemmStridedBatched.
 void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
            float alpha, const float* a, int64_t lda, const float* b,
            int64_t ldb, float beta, float* c, int64_t ldc);
+
+/// For each instance i in [0, batch):
+///   C_i = alpha * op(A) * op(B_i) + beta * C_i,
+/// with B_i = b + i * stride_b and C_i = c + i * stride_c; op(A) is shared by
+/// every instance (a layer's weights against each instance's im2col
+/// columns). Shapes, transposes and leading dimensions are as in Sgemm; the
+/// C_i must not overlap (stride_c >= (m - 1) * ldc + n when batch > 1).
+///
+/// One morsel sweep per k-slab over the (i-block, instance, j-block) grid,
+/// so a batch costs one pool dispatch per slab rather than one per instance,
+/// and a small per-instance grid still splits into enough morsels to occupy
+/// the pool. Each packed A panel is reused across the instances of a morsel.
+/// Every instance is blocked exactly as a lone Sgemm over it would be: C_i is
+/// bit-identical to Sgemm(trans_a, trans_b, m, n, k, alpha, a, lda, B_i, ldb,
+/// beta, C_i, ldc), whatever the batch size or the instance's position in
+/// it.
+void SgemmStridedBatched(bool trans_a, bool trans_b, int64_t batch,
+                         int64_t m, int64_t n, int64_t k, float alpha,
+                         const float* a, int64_t lda, const float* b,
+                         int64_t ldb, int64_t stride_b, float beta, float* c,
+                         int64_t ldc, int64_t stride_c);
 
 /// C (m x n) = alpha * A (m x k) * B (k x n) + beta * C. Contiguous storage.
 inline void SgemmNN(int64_t m, int64_t n, int64_t k, float alpha,

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "gradcheck.h"
 #include "nn/conv1d.h"
 #include "nn/conv2d.h"
@@ -164,6 +166,61 @@ TEST(ConvIm2ColTest, Conv2dGradcheck) {
     // Kernel larger than the input on both axes.
     Conv2d conv(2, 2, 5, 5, 2, 2, &rng);
     testing::CheckLayerGradients(&conv, {1, 2, 3, 3}, true);
+  }
+}
+
+// The float32 forward lowers the whole batch and runs one batched GEMM over
+// it; each instance's output must be bit-identical to a B = 1 forward of
+// that instance alone. Width 130 is not a multiple of the 16-column wide
+// microkernel, so the column tails go through the narrow remainder kernel.
+void ExpectBatchedForwardMatchesSingles(nn::Layer* conv, const Tensor& in) {
+  const Tensor out = conv->Forward(in, false);
+  const int64_t B = in.dim(0);
+  const int64_t in_per = in.size() / B, out_per = out.size() / B;
+  Shape one = in.shape();
+  one[0] = 1;
+  for (int64_t b = 0; b < B; ++b) {
+    Tensor single(one);
+    std::memcpy(single.data(), in.data() + b * in_per,
+                static_cast<size_t>(in_per) * sizeof(float));
+    const Tensor want = conv->Forward(single, false);
+    ASSERT_EQ(want.size(), out_per);
+    EXPECT_EQ(std::memcmp(out.data() + b * out_per, want.data(),
+                          static_cast<size_t>(out_per) * sizeof(float)),
+              0)
+        << "instance " << b;
+  }
+}
+
+TEST(ConvIm2ColTest, Conv1dBatchedForwardBitIdenticalToSingles) {
+  // cin * kernel = 30 and 300: one and two GEMM k-slabs.
+  for (int cin : {6, 60}) {
+    for (bool use_bias : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "cin=" << cin
+                                        << " bias=" << use_bias);
+      Rng rng(41);
+      Conv1d conv(cin, 13, 5, 2, &rng, use_bias);
+      conv.bias().value.FillNormal(&rng, 0.0f, 1.0f);  // constructed zero
+      Tensor in({5, cin, 130});
+      in.FillNormal(&rng, 0.0f, 1.0f);
+      ExpectBatchedForwardMatchesSingles(&conv, in);
+    }
+  }
+}
+
+TEST(ConvIm2ColTest, Conv2dBatchedForwardBitIdenticalToSingles) {
+  // cin * 3 * 3 = 36 and 288: one and two GEMM k-slabs.
+  for (int cin : {4, 32}) {
+    for (bool use_bias : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "cin=" << cin
+                                        << " bias=" << use_bias);
+      Rng rng(43);
+      Conv2d conv(cin, 8, 3, 3, 1, 1, &rng, use_bias);
+      conv.bias().value.FillNormal(&rng, 0.0f, 1.0f);  // constructed zero
+      Tensor in({5, cin, 3, 130});
+      in.FillNormal(&rng, 0.0f, 1.0f);
+      ExpectBatchedForwardMatchesSingles(&conv, in);
+    }
   }
 }
 

@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "tensor/ops.h"
@@ -162,6 +164,78 @@ TEST(GemmTest, StridedSubmatrices) {
           << i << "," << j;
     }
     EXPECT_FLOAT_EQ(big[static_cast<size_t>(i * ldc + 5 + n)], 7.0f);
+  }
+}
+
+TEST(GemmTest, StridedBatchedBitIdenticalToSgemmLoop) {
+  // Each instance of one batched call must equal a lone Sgemm over it, bit
+  // for bit, whatever the batch size: that is what keeps a layer's output
+  // independent of how many instances the engine packed into its batch.
+  // n = 1000 ends in a 232-column block (16-wide tiles, then an 8-column
+  // remainder) and n = 1032 in a lone 8-column block; k = 300 spans two
+  // k-slabs; m = 1, k = 24 takes the small-problem path.
+  // The instance strides leave gaps that neither path may touch.
+  Rng rng(18);
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t m : {1, 8, 13}) {
+    for (int64_t n : {1000, 1032}) {
+      for (int64_t k : {24, 300}) {
+        for (int64_t batch : {1, 3, 5}) {
+          for (float beta : {0.0f, 1.0f}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "m=" << m << " n=" << n << " k=" << k
+                         << " batch=" << batch << " beta=" << beta);
+            const int64_t stride_b = k * n + 7;
+            const int64_t stride_c = m * n + 5;
+            auto a = RandomVec(m * k, &rng);
+            auto b = RandomVec(batch * stride_b, &rng);
+            // beta == 0 must not read C: NaN garbage would leak through.
+            std::vector<float> want =
+                beta == 0.0f ? std::vector<float>(
+                                   static_cast<size_t>(batch * stride_c), kNaN)
+                             : RandomVec(batch * stride_c, &rng);
+            std::vector<float> got = want;
+            for (int64_t i = 0; i < batch; ++i) {
+              gemm::Sgemm(false, false, m, n, k, 0.5f, a.data(), k,
+                          b.data() + i * stride_b, n, beta,
+                          want.data() + i * stride_c, n);
+            }
+            gemm::SgemmStridedBatched(false, false, batch, m, n, k, 0.5f,
+                                      a.data(), k, b.data(), n, stride_b,
+                                      beta, got.data(), n, stride_c);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(float)),
+                      0);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmTest, StridedBatchedTransposedBitIdenticalToSgemmLoop) {
+  Rng rng(19);
+  const int64_t batch = 3, m = 13, n = 1032, k = 300;
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "ta=" << ta << " tb=" << tb);
+      const int64_t lda = ta ? m : k, ldb = tb ? k : n;
+      auto a = RandomVec(m * k, &rng);
+      auto b = RandomVec(batch * k * n, &rng);
+      auto want = RandomVec(batch * m * n, &rng);
+      std::vector<float> got = want;
+      for (int64_t i = 0; i < batch; ++i) {
+        gemm::Sgemm(ta, tb, m, n, k, 1.0f, a.data(), lda,
+                    b.data() + i * k * n, ldb, 1.0f,
+                    want.data() + i * m * n, n);
+      }
+      gemm::SgemmStridedBatched(ta, tb, batch, m, n, k, 1.0f, a.data(), lda,
+                                b.data(), ldb, k * n, 1.0f, got.data(), n,
+                                m * n);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(float)),
+                0);
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -162,6 +163,13 @@ TEST(MorselTest, CallerKeepsItsLeasedIdAcrossCalls) {
 }
 
 TEST(MorselTest, DistinctCallerThreadsLeaseDistinctIds) {
+  // Pins the lease contract: every caller thread that runs a chunk of its own
+  // call does so under one id, and no two callers share an id. ParallelMorsel
+  // does not promise that a caller runs any chunk (pool workers may drain the
+  // whole range first), so the test makes each caller run one itself: a chunk
+  // claimed by a pool worker waits until its caller has run a chunk. The
+  // pool's single worker holds at most one chunk at a time, so a caller
+  // always finds chunks left to claim and the wait cannot deadlock.
   ThreadPool pool(2);
   constexpr int kCallers = 3;
   std::mutex mu;
@@ -170,15 +178,27 @@ TEST(MorselTest, DistinctCallerThreadsLeaseDistinctIds) {
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&] {
       const std::thread::id self = std::this_thread::get_id();
+      std::mutex latch_mu;
+      std::condition_variable latch_cv;
+      bool caller_ran = false;
       pool.ParallelMorsel(0, 5000, 8, [&](int worker, int64_t, int64_t) {
         if (std::this_thread::get_id() == self) {
-          std::lock_guard<std::mutex> lock(mu);
-          own_ids[self].insert(worker);
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            own_ids[self].insert(worker);
+          }
+          std::lock_guard<std::mutex> lock(latch_mu);
+          caller_ran = true;
+          latch_cv.notify_all();
+        } else {
+          std::unique_lock<std::mutex> lock(latch_mu);
+          latch_cv.wait(lock, [&] { return caller_ran; });
         }
       });
     });
   }
   for (auto& t : callers) t.join();
+  ASSERT_EQ(own_ids.size(), static_cast<size_t>(kCallers));
   std::set<int> distinct;
   for (const auto& kv : own_ids) {
     ASSERT_EQ(kv.second.size(), 1u);

@@ -321,34 +321,6 @@ BENCHMARK(BM_ComputeDcamEngine)
     ->Args({6, 128, 40, 0})
     ->Unit(benchmark::kMillisecond);
 
-// Reduced-precision engine pass: same model/series/seed/k as the float32
-// BM_ComputeDcamEngine row, with DcamOptions.precision = kBf16 so every
-// permutation forward runs the bf16-storage GEMM path. The ratio against the
-// float32 row is the precision-vs-speed trade this PR claims; its ranking
-// fidelity (not bit-identity) is gated separately by bf16_fidelity_test.
-void BM_DcamBf16(benchmark::State& state) {
-  const int D = static_cast<int>(state.range(0));
-  const int n = static_cast<int>(state.range(1));
-  Rng rng(3);
-  auto model = BenchDcnn(D, &rng);
-  Tensor series({D, n});
-  series.FillNormal(&rng, 0.0f, 1.0f);
-  core::DcamOptions opts;
-  opts.k = static_cast<int>(state.range(2));
-  opts.precision = gemm::Precision::kBf16;
-  core::DcamEngine::Config cfg;
-  cfg.batch = static_cast<int>(state.range(3));  // 0 = auto (pool width)
-  core::DcamEngine engine(model.get(), cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Compute(series, 0, opts).dcam.data());
-  }
-  state.SetLabel("batch=" + std::to_string(engine.batch()) +
-                 " threads=" + std::to_string(GlobalPool().num_threads()));
-}
-BENCHMARK(BM_DcamBf16)
-    ->Args({10, 256, 100, 0})
-    ->Unit(benchmark::kMillisecond);
-
 // Dataset-level engine pass: ComputeMany packs permutation batches across
 // series, so its throughput tracks how well the morsel sweep keeps the whole
 // worker set fed across flush boundaries — the engine-scaling row.
@@ -452,59 +424,11 @@ int RunMorselSpeedupGate(double min_speedup) {
   return ok ? 0 : 1;
 }
 
-// ---- --min-bf16-speedup gate -----------------------------------------------
-
-// Times the same dCAM engine pass at float32 and bf16 precision (the
-// BM_ComputeDcamEngine / BM_DcamBf16 shape) and fails when the bf16 speedup
-// falls below the threshold. One engine serves both runs, so scratch and
-// allocator state are identical; best-of-N per precision keeps shared-runner
-// noise out of the verdict.
-int RunBf16SpeedupGate(double min_speedup) {
-  constexpr int kReps = 5;
-  const int D = 10, n = 256;
-  Rng rng(3);
-  auto model = BenchDcnn(D, &rng);
-  Tensor series({D, n});
-  series.FillNormal(&rng, 0.0f, 1.0f);
-  core::DcamOptions f32_opts;
-  f32_opts.k = 100;
-  core::DcamOptions bf16_opts = f32_opts;
-  bf16_opts.precision = gemm::Precision::kBf16;
-  core::DcamEngine engine(model.get());
-
-  const auto best_ns = [&](const core::DcamOptions& opts) {
-    benchmark::DoNotOptimize(
-        engine.Compute(series, 0, opts).dcam.data());  // warm-up
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(engine.Compute(series, 0, opts).dcam.data());
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ns =
-          std::chrono::duration<double, std::nano>(t1 - t0).count();
-      if (ns < best) best = ns;
-    }
-    return best;
-  };
-
-  const double f32_ns = best_ns(f32_opts);
-  const double bf16_ns = best_ns(bf16_opts);
-  const double speedup = f32_ns / bf16_ns;
-  const bool ok = speedup >= min_speedup;
-  std::fprintf(stderr,
-               "bf16-speedup gate: float32 %.0f ns, bf16 %.0f ns -> %.2fx "
-               "(threshold %.2fx, backend=%s, threads=%d): %s\n",
-               f32_ns, bf16_ns, speedup, min_speedup, gemm::BackendName(),
-               GlobalPool().num_threads(), ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
-}
-
 // ---- --json reporter ------------------------------------------------------
 
 // Emits one record per benchmark run: op (the BM_* function), shape (the
 // "/"-joined args), ns/iter, the thread count the run used, and the kernel
-// backend the run exercised ("bf16" for the reduced-precision rows, else the
-// dispatched float32 backend) so cross-host baselines are interpretable.
+// dispatched kernel backend so cross-host baselines are interpretable.
 class JsonFileReporter : public benchmark::BenchmarkReporter {
  public:
   explicit JsonFileReporter(std::string path) : path_(std::move(path)) {}
@@ -528,9 +452,7 @@ class JsonFileReporter : public benchmark::BenchmarkReporter {
           run.real_accumulated_time * 1e9 / static_cast<double>(run.iterations);
       row.threads = run.threads;
       row.iterations = static_cast<long long>(run.iterations);
-      row.backend = name.find("Bf16") != std::string::npos
-                        ? "bf16"
-                        : gemm::BackendName();
+      row.backend = gemm::BackendName();
       rows_.push_back(std::move(row));
     }
   }
@@ -597,14 +519,12 @@ class TeeReporter : public benchmark::BenchmarkReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Extract --json <path> (or --json=<path>), --min-morsel-speedup <x>, and
-  // --min-bf16-speedup <x> before google-benchmark sees the argument vector;
-  // everything else is forwarded untouched.
+  // Extract --json <path> (or --json=<path>) and --min-morsel-speedup <x>
+  // before google-benchmark sees the argument vector; everything else is
+  // forwarded untouched.
   std::string json_path;
   double min_morsel_speedup = 0.0;
-  double min_bf16_speedup = 0.0;
   bool morsel_gate_requested = false;
-  bool bf16_gate_requested = false;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -618,24 +538,15 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--min-morsel-speedup=", 0) == 0) {
       min_morsel_speedup = std::atof(arg.substr(21).c_str());
       morsel_gate_requested = true;
-    } else if (arg == "--min-bf16-speedup" && i + 1 < argc) {
-      min_bf16_speedup = std::atof(argv[++i]);
-      bf16_gate_requested = true;
-    } else if (arg.rfind("--min-bf16-speedup=", 0) == 0) {
-      min_bf16_speedup = std::atof(arg.substr(19).c_str());
-      bf16_gate_requested = true;
     } else {
       args.push_back(argv[i]);
     }
   }
-  if (morsel_gate_requested || bf16_gate_requested) {
-    // Gate mode replaces the benchmark run: timed comparisons whose exit
-    // code is the verdict (see Run*SpeedupGate). Requesting both runs both.
+  if (morsel_gate_requested) {
+    // Gate mode replaces the benchmark run: a timed comparison whose exit
+    // code is the verdict (see RunMorselSpeedupGate).
     TuneAllocatorForRepeatedTensors();
-    int rc = 0;
-    if (morsel_gate_requested) rc |= RunMorselSpeedupGate(min_morsel_speedup);
-    if (bf16_gate_requested) rc |= RunBf16SpeedupGate(min_bf16_speedup);
-    return rc;
+    return RunMorselSpeedupGate(min_morsel_speedup);
   }
   // Tune up front so the serial-vs-engine comparison sees one allocator
   // configuration (the engine would otherwise enable it mid-suite).

@@ -116,18 +116,12 @@ DcamResult ComputeDcamSerial(models::GapModel* model, const Tensor& series,
   std::iota(identity.begin(), identity.end(), 0);
   std::vector<int> scratch;
 
-  {
-    // The permutation forwards honor the requested operand precision; the
-    // averaging/extraction below stays float32 either way.
-    gemm::ScopedGemmPrecision precision(options.precision);
-    for (int iter = 0; iter < options.k; ++iter) {
-      const bool use_identity = iter == 0 && options.include_identity;
-      if (!use_identity) rng.PermutationInto(static_cast<int>(D), &scratch);
-      const std::vector<int>& perm = use_identity ? identity : scratch;
-      if (AccumulatePermutation(model, series, class_idx, perm,
-                                &result.mbar)) {
-        ++result.num_correct;
-      }
+  for (int iter = 0; iter < options.k; ++iter) {
+    const bool use_identity = iter == 0 && options.include_identity;
+    if (!use_identity) rng.PermutationInto(static_cast<int>(D), &scratch);
+    const std::vector<int>& perm = use_identity ? identity : scratch;
+    if (AccumulatePermutation(model, series, class_idx, perm, &result.mbar)) {
+      ++result.num_correct;
     }
   }
 

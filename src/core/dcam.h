@@ -20,7 +20,6 @@
 #include <cstdint>
 
 #include "models/model.h"
-#include "tensor/gemm.h"
 #include "tensor/tensor.h"
 
 namespace dcam {
@@ -39,12 +38,6 @@ struct DcamOptions {
   /// saves D*D*n floats per instance, which dominates memory in
   /// dataset-level passes that only consume the final maps.
   bool keep_mbar = true;
-  /// GEMM operand precision for the k permutation forwards. kBf16 rounds
-  /// conv/dense operands to bfloat16 (float32 accumulation) — faster and
-  /// NOT bit-identical to float32, but dCAM only ranks dimensions, and the
-  /// ranking agreement is gated (tests/bf16_fidelity_test.cc). Inference
-  /// only; ignored by training paths.
-  gemm::Precision precision = gemm::Precision::kFloat32;
 };
 
 struct DcamResult {

@@ -93,14 +93,8 @@ void DcamEngine::Flush() {
     BuildCubeInto(*slot_data[b].series, slot_data[b].perm, cube, b);
   });
 
-  // 2. One forward for the whole batch — under the batch's GEMM precision
-  // (every pending slot shares it; ComputeMany flushes on changes) — then
-  // n_g votes from the logits.
-  Tensor logits;
-  {
-    gemm::ScopedGemmPrecision precision(slot_data[0].precision);
-    logits = model_->Forward(*cube, /*training=*/false);
-  }
+  // 2. One forward for the whole batch, then n_g votes from the logits.
+  const Tensor logits = model_->Forward(*cube, /*training=*/false);
   for (int64_t b = 0; b < B; ++b) {
     if (RowArgmax(logits, b) == slot_data[b].class_idx) {
       ++*slot_data[b].num_correct;
@@ -188,9 +182,6 @@ int DcamEngine::Accumulate(const Tensor& series, int class_idx,
     slot->class_idx = class_idx;
     slot->msum = msum;
     slot->num_correct = &num_correct;
-    // Slots are pooled, so stale precisions must be reset explicitly; the
-    // adaptive-k path always runs float32.
-    slot->precision = gemm::Precision::kFloat32;
     if (pending_count_ == config_.batch) Flush();
   }
   Flush();
@@ -256,8 +247,7 @@ std::vector<DcamResult> DcamEngine::ComputeMany(
   // horizon instead of the dataset size.
   for (size_t i = 0; i < N; ++i) {
     if (pending_count_ > 0 &&
-        (pending_[0].series->shape() != series[i].shape() ||
-         pending_[0].precision != options[i].precision)) {
+        pending_[0].series->shape() != series[i].shape()) {
       Flush();
     }
     if (pending_count_ == 0) finalize_through(i);
@@ -270,7 +260,6 @@ std::vector<DcamResult> DcamEngine::ComputeMany(
       slot->class_idx = class_idx[i];
       slot->msum = &results[i].mbar;
       slot->num_correct = &results[i].num_correct;
-      slot->precision = options[i].precision;
       if (j == 0 && options[i].include_identity) {
         slot->perm.resize(static_cast<size_t>(D));
         std::iota(slot->perm.begin(), slot->perm.end(), 0);
@@ -353,16 +342,14 @@ std::vector<DcamResult> DcamEngine::ComputeManyChunked(
   size_t live_count = N;
   while (live_count > 0) {
     // Draw phase: up to tick_every permutations per live request, packed
-    // into shared forward batches with the same shape/precision flush
-    // boundaries as ComputeMany. The end-of-round Flush is the tick
-    // barrier — every drawn permutation is accumulated before any callback
-    // observes a cursor.
+    // into shared forward batches with the same shape flush boundaries as
+    // ComputeMany. The end-of-round Flush is the tick barrier — every drawn
+    // permutation is accumulated before any callback observes a cursor.
     for (size_t i = 0; i < N; ++i) {
       Cursor& c = cursors[i];
       if (!c.live) continue;
       if (pending_count_ > 0 &&
-          (pending_[0].series->shape() != series[i].shape() ||
-           pending_[0].precision != options[i].precision)) {
+          pending_[0].series->shape() != series[i].shape()) {
         Flush();
       }
       const int take = std::min(tick_every, options[i].k - c.drawn);
@@ -372,7 +359,6 @@ std::vector<DcamResult> DcamEngine::ComputeManyChunked(
         slot->class_idx = class_idx[i];
         slot->msum = &results[i].mbar;
         slot->num_correct = &results[i].num_correct;
-        slot->precision = options[i].precision;
         if (c.drawn == 0 && options[i].include_identity) {
           const int64_t D = series[i].dim(0);
           slot->perm.resize(static_cast<size_t>(D));

@@ -172,10 +172,6 @@ class DcamEngine {
     int class_idx = 0;
     Tensor* msum = nullptr;    // (D, D, n) accumulator this slot scatters into
     int* num_correct = nullptr;  // n_g counter this slot votes into
-    // GEMM precision of this slot's forward. A flush evaluates one batch in
-    // one precision, so ComputeMany flushes on precision changes exactly
-    // like on shape changes.
-    gemm::Precision precision = gemm::Precision::kFloat32;
   };
 
   // Returns persistent scratch of the exact requested shape. The full-batch

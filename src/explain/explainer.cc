@@ -10,7 +10,6 @@
 #include "cam/grad_cam.h"
 #include "core/engine.h"
 #include "models/mtex.h"
-#include "tensor/gemm.h"
 
 namespace dcam {
 namespace explain {
@@ -41,7 +40,6 @@ uint64_t HashDcamOptions(const core::DcamOptions& o, uint64_t h) {
   // so the flag cannot change an observable field of the cached result.
   h = HashPod(o.k, h);
   h = HashPod(o.seed, h);
-  h = HashPod(static_cast<uint8_t>(o.precision), h);
   return HashPod(static_cast<uint8_t>(o.include_identity), h);
 }
 
@@ -97,38 +95,22 @@ class DcamFamilyExplainer : public Explainer {
 
 class DcamExplainer : public DcamFamilyExplainer {
  public:
-  /// The ("dcam", "bf16") registration constructs with kBf16, which forces
-  /// the reduced-precision forward regardless of the request options; the
-  /// default-constructed portable explainer passes options through untouched
-  /// (a caller may still opt in per-request via DcamOptions.precision).
-  explicit DcamExplainer(gemm::Precision precision = gemm::Precision::kFloat32)
-      : precision_(precision) {}
-
   std::string name() const override { return "dcam"; }
 
   uint64_t OptionsDigest(int class_idx,
                          const ExplainOptions& options) const override {
     uint64_t h = HashString(name(), kFnvOffset);
     h = HashPod(class_idx, h);
-    return HashDcamOptions(EffectiveOptions(options.dcam), h);
+    return HashDcamOptions(options.dcam, h);
   }
 
   ExplanationResult Explain(models::Model* model, const Tensor& series,
                             int class_idx,
                             const ExplainOptions& options) override {
-    core::DcamOptions opts = EffectiveOptions(options.dcam);
+    core::DcamOptions opts = options.dcam;
     opts.keep_mbar = false;  // the uniform result only carries the map
     return FromDcamResult(EngineFor(model)->Compute(series, class_idx, opts));
   }
-
- private:
-  core::DcamOptions EffectiveOptions(const core::DcamOptions& o) const {
-    core::DcamOptions opts = o;
-    if (precision_ == gemm::Precision::kBf16) opts.precision = precision_;
-    return opts;
-  }
-
-  gemm::Precision precision_;
 };
 
 class DcamSerialExplainer : public DcamFamilyExplainer {
@@ -468,11 +450,10 @@ struct Registry {
   std::vector<std::string> names;  // method registration order (unique)
   // Keyed (method, backend). The std::map keeps ExplainerBackends sorted.
   std::map<std::pair<std::string, std::string>, ExplainerFactory> factories;
-  // Valid backend tags: the kernel-layer names plus the dcam bf16 precision
-  // mode, extended by RegisterExplainerBackend. A request naming anything
-  // else is a spelling error and CHECK-fails instead of silently falling
-  // back to portable.
-  std::set<std::string> backends{"portable", "avx2", "bf16"};
+  // Valid backend tags: the kernel-layer names, extended by
+  // RegisterExplainerBackend. A request naming anything else is a spelling
+  // error and CHECK-fails instead of silently falling back to portable.
+  std::set<std::string> backends{"portable", "avx2"};
 
   bool HasMethod(const std::string& name) const {
     return std::find(names.begin(), names.end(), name) != names.end();
@@ -533,12 +514,6 @@ Registry& GetRegistry() {
     });
     add("dimension_occlusion", []() -> std::unique_ptr<Explainer> {
       return std::make_unique<DimensionOcclusionExplainer>();
-    });
-    // Backend-specialized built-ins. The bf16 dcam forces the
-    // reduced-precision inference forward; its fidelity (top-1 dimension
-    // agreement, rank correlation vs float32) is gated in CI.
-    r->Add("dcam", "bf16", []() -> std::unique_ptr<Explainer> {
-      return std::make_unique<DcamExplainer>(gemm::Precision::kBf16);
     });
     return r;
   }();
@@ -639,7 +614,7 @@ std::unique_ptr<Explainer> MakeExplainer(const std::string& name,
     DCAM_CHECK(r.backends.count(backend) > 0)
         << "unknown explainer backend \"" << backend << "\" for method \""
         << name
-        << "\" (expected \"portable\", \"avx2\", \"bf16\", or a name seen by "
+        << "\" (expected \"portable\", \"avx2\", or a name seen by "
            "RegisterExplainerBackend; probe with KnownExplainerBackend)";
     auto it = r.factories.find({name, backend});
     if (it == r.factories.end()) {

@@ -31,13 +31,11 @@
 //
 // The registry is keyed (method, backend): variants of a method specialized
 // for a kernel backend register under the same method name with a backend tag
-// ("portable", "avx2", "bf16", or externally registered names). Every
-// built-in above lives under "portable"; ("dcam", "bf16") additionally maps
-// to the reduced-precision inference forward (gemm::Precision::kBf16).
-// Lookup falls back to the method's "portable" entry when the requested
-// backend has no specialized registration, so asking for ("cam", "avx2") is
-// valid and returns the portable implementation — the ISA dispatch for pure
-// float32 methods already happens inside tensor/gemm.cc.
+// ("portable", "avx2", or externally registered names). Every built-in above
+// lives under "portable". Lookup falls back to the method's "portable" entry
+// when the requested backend has no specialized registration, so asking for
+// ("cam", "avx2") is valid and returns the portable implementation — the ISA
+// dispatch for pure float32 methods already happens inside tensor/gemm.cc.
 
 #ifndef DCAM_EXPLAIN_EXPLAINER_H_
 #define DCAM_EXPLAIN_EXPLAINER_H_
@@ -159,7 +157,7 @@ bool HasExplainer(const std::string& name);
 bool HasExplainerBackend(const std::string& name, const std::string& backend);
 
 /// True when `backend` is a valid backend name: one of the built-in tags
-/// ("portable", "avx2", "bf16") or a name seen by RegisterExplainerBackend.
+/// ("portable", "avx2") or a name seen by RegisterExplainerBackend.
 bool KnownExplainerBackend(const std::string& backend);
 
 /// Backends registered for `name`, lexicographically sorted. Empty when the

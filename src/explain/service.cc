@@ -7,7 +7,6 @@
 
 #include "core/engine.h"
 #include "io/serialize.h"
-#include "tensor/gemm.h"
 #include "util/affinity.h"
 #include "util/parallel.h"
 
@@ -118,11 +117,6 @@ void ExplainService::RegisterModel(ModelSpec spec) {
   DCAM_CHECK_EQ(models_.count(spec.id), 0u)
       << "model id \"" << spec.id << "\" already registered";
   models_.emplace(std::move(spec.id), std::move(entry));
-}
-
-void ExplainService::RegisterModel(const std::string& id, models::Model* model,
-                                   int replicas) {
-  RegisterModel(ModelSpec(id, model).Replicas(replicas));
 }
 
 void ExplainService::InvalidateModel(const std::string& id) {
@@ -402,8 +396,8 @@ void ExplainService::ValidateRequest(const ExplainRequest& request) {
   if (!request.backend.empty() && !KnownExplainerBackend(request.backend)) {
     throw std::invalid_argument(
         "unknown backend \"" + request.backend +
-        "\" in ExplainRequest (expected \"portable\", \"avx2\", \"bf16\", or "
-        "a registered backend; probe with KnownExplainerBackend)");
+        "\" in ExplainRequest (expected \"portable\", \"avx2\", or a "
+        "registered backend; probe with KnownExplainerBackend)");
   }
   if (request.series.rank() != 2) {
     throw std::invalid_argument(
@@ -518,13 +512,6 @@ void ExplainService::SubmitInternal(ExplainRequest request, Pending p) {
   // request cannot throw past an engaged sink from here on.
   std::string resolved;
   Explainer* proto = ResolveRequest(request, &resolved);
-  if (resolved == "bf16") {
-    // The bf16 dcam path coalesces through the same ComputeMany groups as
-    // float32 requests, so the precision rides in the per-request options
-    // (folded before the digest below — the cache must key on what is
-    // actually computed).
-    request.options.dcam.precision = gemm::Precision::kBf16;
-  }
 
   p.request = std::move(request);
   p.ctx.priority = p.request.priority;

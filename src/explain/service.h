@@ -179,7 +179,7 @@ inline constexpr int kNumPriorities = 3;
 struct ExplainRequest {
   std::string model_id;  // as passed to RegisterModel
   std::string method;    // registry name, e.g. "dcam"
-  /// Requested kernel backend ("portable", "avx2", "bf16", or an externally
+  /// Requested kernel backend ("portable", "avx2", or an externally
   /// registered name); empty means "portable". Submission resolves it
   /// against the (method, backend) registry: a known backend with no
   /// specialized registration for this method falls back to "portable"
@@ -386,9 +386,6 @@ struct ElasticityConfig {
 ///   elastic.max_replicas = 4;
 ///   service.RegisterModel(
 ///       ModelSpec("m", &model).Replicas(1).Elastic(elastic).Placement(2));
-///
-/// replaces the old positional RegisterModel(id, model, replicas) surface
-/// (kept as a deprecated shim).
 struct ModelSpec {
   ModelSpec() = default;
   ModelSpec(std::string model_id, models::Model* m)
@@ -509,12 +506,6 @@ class ExplainService {
   /// here — so the model class must implement CloneArchitecture when the
   /// group can ever span more than one shard (including via elasticity).
   void RegisterModel(ModelSpec spec);
-
-  /// Deprecated positional shim for the pre-ModelSpec surface; forwards to
-  /// RegisterModel(ModelSpec). Prefer the spec — it is the only way to
-  /// reach elasticity and placement.
-  void RegisterModel(const std::string& id, models::Model* model,
-                     int replicas = 0);
 
   /// Invalidates everything derived from `id`'s weights: drops the model's
   /// cached results and marks its replica clones for a weight re-sync from

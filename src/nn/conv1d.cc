@@ -1,7 +1,6 @@
 #include "nn/conv1d.h"
 
 #include "tensor/gemm.h"
-#include "tensor/gemm_bf16.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -25,7 +24,7 @@ Conv1d::Conv1d(int in_channels, int out_channels, int kernel, int padding,
                 rng);
 }
 
-Tensor Conv1d::Forward(const Tensor& input, bool training) {
+Tensor Conv1d::Forward(const Tensor& input, bool /*training*/) {
   DCAM_CHECK_EQ(input.rank(), 3);
   DCAM_CHECK_EQ(input.dim(1), in_channels_);
   const int64_t B = input.dim(0), L = input.dim(2);
@@ -36,37 +35,6 @@ Tensor Conv1d::Forward(const Tensor& input, bool training) {
   const int64_t Cin = in_channels_, Cout = out_channels_, K = kernel_,
                 P = padding_;
   const int64_t CK = Cin * K;
-
-  if (!training && gemm::CurrentGemmPrecision() == gemm::Precision::kBf16) {
-    // Inference-only bf16 path (see Conv2d::Forward): 16-bit columns, the
-    // widening GEMM, and invalidated float32 scratch so Backward aborts.
-    col_ = Tensor();
-    col16_.resize(static_cast<size_t>(B * CK * Lout));
-    Tensor out({B, Cout, Lout});
-    const float* in = input.data();
-    uint16_t* col16 = col16_.data();
-    ParallelFor(0, B, [&](int64_t b) {
-      gemm::Im2Col1dBf16(in + b * Cin * L, Cin, L, K, P,
-                         col16 + b * CK * Lout);
-    });
-    const float* w = weight_.value.data();
-    const float* bias = bias_.value.data();
-    float* o = out.data();
-    for (int64_t b = 0; b < B; ++b) {
-      float* ob = o + b * Cout * Lout;
-      float beta = 0.0f;
-      if (use_bias_) {
-        for (int64_t co = 0; co < Cout; ++co) {
-          float* orow = ob + co * Lout;
-          for (int64_t i = 0; i < Lout; ++i) orow[i] = bias[co];
-        }
-        beta = 1.0f;
-      }
-      gemm::SgemmBf16PackedB(Cout, Lout, CK, 1.0f, w, CK,
-                             col16 + b * CK * Lout, Lout, beta, ob, Lout);
-    }
-    return out;
-  }
 
   EnsureTensorShape(&col_, {B, CK, Lout});
   Tensor out({B, Cout, Lout});

@@ -64,10 +64,6 @@ class Conv1d : public Layer {
   // (per-instance slices, parallel over the batch).
   Tensor col_;
   Tensor dcol_;
-  // bf16 lowering scratch for the inference-only reduced-precision forward
-  // (gemm::Precision::kBf16); Forward invalidates col_ on that path so
-  // Backward cannot consume stale float32 columns.
-  std::vector<uint16_t> col16_;
 };
 
 }  // namespace nn

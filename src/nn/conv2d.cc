@@ -1,7 +1,6 @@
 #include "nn/conv2d.h"
 
 #include "tensor/gemm.h"
-#include "tensor/gemm_bf16.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -27,7 +26,7 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel_h, int kernel_w,
                 static_cast<int64_t>(in_channels) * kernel_h * kernel_w, rng);
 }
 
-Tensor Conv2d::Forward(const Tensor& input, bool training) {
+Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
   DCAM_CHECK_EQ(input.rank(), 4);
   DCAM_CHECK_EQ(input.dim(1), in_channels_);
   const int64_t B = input.dim(0), H = input.dim(2), W = input.dim(3);
@@ -41,40 +40,6 @@ Tensor Conv2d::Forward(const Tensor& input, bool training) {
   const int64_t KH = kernel_h_, KW = kernel_w_, PH = pad_h_, PW = pad_w_;
   const int64_t CKK = Cin * KH * KW;
   const int64_t HW = Hout * Wout;
-
-  if (!training && gemm::CurrentGemmPrecision() == gemm::Precision::kBf16) {
-    // Inference-only bf16 path: the lowered input is written and re-read as
-    // 16-bit columns (half the im2col traffic), and the widening GEMM rounds
-    // the weights at pack time. Gradients never see this path — and the
-    // float32 scratch is invalidated so a Backward after a bf16 forward
-    // aborts on its shape check instead of consuming stale columns.
-    col_ = Tensor();
-    col16_.resize(static_cast<size_t>(B * CKK * HW));
-    Tensor out({B, Cout, Hout, Wout});
-    const float* in = input.data();
-    uint16_t* col16 = col16_.data();
-    ParallelFor(0, B, [&](int64_t b) {
-      gemm::Im2Col2dBf16(in + b * Cin * H * W, Cin, H, W, KH, KW, PH, PW,
-                         col16 + b * CKK * HW);
-    });
-    const float* w = weight_.value.data();
-    const float* bias = bias_.value.data();
-    float* o = out.data();
-    for (int64_t b = 0; b < B; ++b) {
-      float* ob = o + b * Cout * HW;
-      float beta = 0.0f;
-      if (use_bias_) {
-        for (int64_t co = 0; co < Cout; ++co) {
-          float* oplane = ob + co * HW;
-          for (int64_t i = 0; i < HW; ++i) oplane[i] = bias[co];
-        }
-        beta = 1.0f;
-      }
-      gemm::SgemmBf16PackedB(Cout, HW, CKK, 1.0f, w, CKK,
-                             col16 + b * CKK * HW, HW, beta, ob, HW);
-    }
-    return out;
-  }
 
   EnsureTensorShape(&col_, {B, CKK, HW});
   Tensor out({B, Cout, Hout, Wout});

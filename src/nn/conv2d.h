@@ -66,11 +66,6 @@ class Conv2d : public Layer {
   // from (per-instance slices, parallel over the batch).
   Tensor col_;
   Tensor dcol_;
-  // bf16 lowering scratch for the inference-only reduced-precision forward
-  // (gemm::Precision::kBf16): same (B, Cin*KH*KW, Hout*Wout) layout as col_
-  // at half the width. Forward invalidates col_ when it takes this path so
-  // Backward cannot consume stale float32 columns.
-  std::vector<uint16_t> col16_;
 };
 
 }  // namespace nn

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "tensor/gemm.h"
-#include "tensor/gemm_bf16.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -19,7 +18,7 @@ Dense::Dense(int in_features, int out_features, Rng* rng, bool use_bias)
   GlorotUniformInit(&weight_.value, in_features, out_features, rng);
 }
 
-Tensor Dense::Forward(const Tensor& input, bool training) {
+Tensor Dense::Forward(const Tensor& input, bool /*training*/) {
   DCAM_CHECK_EQ(input.rank(), 2);
   DCAM_CHECK_EQ(input.dim(1), in_features_);
   cached_input_ = input;
@@ -35,14 +34,6 @@ Tensor Dense::Forward(const Tensor& input, bool training) {
                   static_cast<size_t>(out_features_) * sizeof(float));
     }
     beta = 1.0f;
-  }
-  if (!training && gemm::CurrentGemmPrecision() == gemm::Precision::kBf16) {
-    // Inference-only bf16 head: both operands rounded at pack time; the
-    // float32 scratch-free layout makes this a pure drop-in.
-    gemm::SgemmBf16(false, true, B, out_features_, in_features_, 1.0f,
-                    input.data(), in_features_, weight_.value.data(),
-                    in_features_, beta, out.data(), out_features_);
-    return out;
   }
   gemm::SgemmNT(B, out_features_, in_features_, 1.0f, input.data(),
                 weight_.value.data(), beta, out.data());

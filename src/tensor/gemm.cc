@@ -554,21 +554,6 @@ void Col2Im1d(const float* col, int64_t C, int64_t L, int64_t K, int64_t P,
            in);
 }
 
-namespace {
-// Per-thread because requests of different precisions run concurrently on
-// different shard schedulers against the same model instance.
-thread_local Precision g_precision = Precision::kFloat32;
-}  // namespace
-
-Precision CurrentGemmPrecision() { return g_precision; }
-
-ScopedGemmPrecision::ScopedGemmPrecision(Precision precision)
-    : prev_(g_precision) {
-  g_precision = precision;
-}
-
-ScopedGemmPrecision::~ScopedGemmPrecision() { g_precision = prev_; }
-
 const char* BackendName() { return ActiveKernelBackendName(); }
 
 }  // namespace gemm

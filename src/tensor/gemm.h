@@ -32,35 +32,6 @@
 namespace dcam {
 namespace gemm {
 
-/// Operand storage precision for the inference GEMM path. kBf16 rounds both
-/// operands to bfloat16 at pack time (accumulation stays float32) — roughly
-/// half the packed-panel and im2col memory traffic in exchange for ~3
-/// decimal digits of operand precision. Inference-only: layers fall back to
-/// float32 whenever gradients will be needed.
-enum class Precision : uint8_t {
-  kFloat32 = 0,
-  kBf16 = 1,
-};
-
-/// The calling thread's current GEMM precision (default kFloat32). Layers
-/// consult this in their forward pass; it is plumbed per-request rather than
-/// per-layer so one model instance can serve both precisions.
-Precision CurrentGemmPrecision();
-
-/// RAII scope setting the calling thread's GEMM precision, restoring the
-/// previous value on destruction. The engine wraps each batched forward in
-/// one of these with the batch's DcamOptions::precision.
-class ScopedGemmPrecision {
- public:
-  explicit ScopedGemmPrecision(Precision precision);
-  ~ScopedGemmPrecision();
-  ScopedGemmPrecision(const ScopedGemmPrecision&) = delete;
-  ScopedGemmPrecision& operator=(const ScopedGemmPrecision&) = delete;
-
- private:
-  Precision prev_;
-};
-
 /// Name of the process-wide microkernel backend ("portable" or "avx2"),
 /// resolved once via util/cpu (honoring DCAM_FORCE_BACKEND).
 const char* BackendName();

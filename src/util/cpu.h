@@ -1,7 +1,7 @@
 // Cached host-CPU feature detection and kernel-backend selection.
 //
-// The GEMM layer (tensor/gemm, tensor/gemm_bf16) dispatches its microkernels
-// through a per-process backend chosen here, instead of sprinkling
+// The GEMM layer (tensor/gemm) dispatches its microkernels through a
+// per-process backend chosen here, instead of sprinkling
 // __builtin_cpu_supports probes through every inner loop. Detection runs
 // exactly once; the selected backend is queryable (ActiveKernelBackendName)
 // and logged to stderr on first use so a bench or CI log always states which

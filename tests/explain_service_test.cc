@@ -148,22 +148,6 @@ TEST(ExplainServiceTest, ResultsBitIdenticalToDirectCalls) {
   EXPECT_EQ(stats.completed, methods.size());
 }
 
-TEST(ExplainServiceTest, DeprecatedPositionalRegisterModelStillWorks) {
-  // The pre-ModelSpec surface forwards to RegisterModel(ModelSpec); it must
-  // keep serving until external callers have migrated.
-  Rng rng(31);
-  auto model = TinyDcnn(&rng);
-  ExplainService service;
-  service.RegisterModel("m", model.get(), /*replicas=*/1);
-  ExplainRequest req;
-  req.model_id = "m";
-  req.method = "dcam";
-  req.series = RandomSeries(&rng);
-  req.options.dcam.k = 4;
-  ExpectSameMap(service.Explain(req).map,
-                Explain("dcam", model.get(), req.series, 0, req.options).map);
-}
-
 TEST(ExplainServiceTest, RepeatedRequestHitsTheCache) {
   Rng rng(32);
   auto model = TinyDcnn(&rng);

@@ -124,29 +124,24 @@ TEST(PortableSgemmTest, MatchesReferenceAcrossBlockingBoundaries) {
 TEST(ExplainerBackendRegistryTest, KnownBackendsAndMethodEnumeration) {
   EXPECT_TRUE(explain::KnownExplainerBackend("portable"));
   EXPECT_TRUE(explain::KnownExplainerBackend("avx2"));
-  EXPECT_TRUE(explain::KnownExplainerBackend("bf16"));
+  EXPECT_FALSE(explain::KnownExplainerBackend("bf16"));
   EXPECT_FALSE(explain::KnownExplainerBackend("cuda"));
   EXPECT_FALSE(explain::KnownExplainerBackend(""));
 
-  // dcam ships a portable registration plus the bf16 specialization; the
-  // listing is lexicographically sorted.
-  const std::vector<std::string> backends = explain::ExplainerBackends("dcam");
-  ASSERT_EQ(backends.size(), 2u);
-  EXPECT_EQ(backends[0], "bf16");
-  EXPECT_EQ(backends[1], "portable");
+  // Every built-in ships only its portable registration.
+  EXPECT_EQ(explain::ExplainerBackends("dcam"),
+            std::vector<std::string>{"portable"});
   EXPECT_TRUE(explain::ExplainerBackends("no-such-method").empty());
 
   EXPECT_TRUE(explain::HasExplainerBackend("dcam", "portable"));
-  EXPECT_TRUE(explain::HasExplainerBackend("dcam", "bf16"));
   // Known backend, but no avx2-specialized dcam registration: exact-pair
   // lookup says no (MakeExplainer falls back instead).
   EXPECT_FALSE(explain::HasExplainerBackend("dcam", "avx2"));
-  EXPECT_FALSE(explain::HasExplainerBackend("cam", "bf16"));
 }
 
 TEST(ExplainerBackendRegistryTest, DuplicateRegistrationIsRejected) {
   EXPECT_FALSE(explain::RegisterExplainerBackend(
-      "dcam", "bf16", [] { return explain::MakeExplainer("dcam"); }));
+      "dcam", "portable", [] { return explain::MakeExplainer("dcam"); }));
   // A fresh (method, backend) pair under a known backend name registers.
   EXPECT_TRUE(explain::RegisterExplainerBackend(
       "cam", "avx2", [] { return explain::MakeExplainer("cam"); }));

@@ -425,6 +425,8 @@ TEST(ServiceValidateTest, CallerErrorsThrowSynchronouslyWithoutTouchingSinks) {
   req = DcamRequest("m", series, 0, 5, 7700);
   req.backend = "tpu";
   expect_invalid(req);
+  req.backend = "bf16";
+  expect_invalid(req);
   req = DcamRequest("m", Tensor({2, 3, 4}), 0, 5, 7700);  // not (D, n)
   expect_invalid(req);
 

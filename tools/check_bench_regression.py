@@ -84,8 +84,8 @@ def value_of(row):
 
 
 def backend_of(row):
-    """The kernel backend the row was measured with ("portable"/"avx2"/
-    "bf16"); older baselines predate the field and print "-"."""
+    """The kernel backend the row was measured with ("portable"/"avx2");
+    older baselines predate the field and print "-"."""
     return row.get("backend", "-")
 
 

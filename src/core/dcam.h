@@ -51,15 +51,16 @@ struct DcamResult {
   /// Number of permutations classified as the target class (n_g).
   int num_correct = 0;
   /// Number of permutations evaluated (k). For a request stopped early by a
-  /// ComputeManyChunked tick callback this is the count actually
+  /// DcamEngine::ComputeMany tick callback this is the count actually
   /// accumulated, and dcam/mu are the partial map at that point.
   int k = 0;
-  /// True when a ComputeManyChunked tick callback returned kCancel before
-  /// the full permutation budget was spent.
+  /// True when a ComputeMany tick callback returned kCancel before the full
+  /// permutation budget was spent (for adaptive-k: the map converged).
   bool cancelled = false;
   /// Relative L2 change of the final map vs the last emitted partial map
-  /// (ComputeManyChunked with emit_partial only; 0 otherwise). The anytime
-  /// convergence score a streaming client saw at its final tick.
+  /// (ComputeMany with emit_partial and at least one tick; 0 otherwise).
+  /// The anytime convergence score after a streaming client's final tick,
+  /// and adaptive-k's last check when its budget runs out.
   double convergence = 0.0;
 
   /// n_g / k, the paper's explanation-quality proxy (Section 5.6).
@@ -96,7 +97,7 @@ void ExtractDcam(const Tensor& mbar, Tensor* dcam, Tensor* mu);
 /// through the model, computes the CAM of `class_idx` over the cube rows and
 /// scatters it into `msum` (D, D, n) via idx. Returns true when the model
 /// classified this permutation as `class_idx` (the n_g counter's criterion).
-/// Building block shared by ComputeDcam and the adaptive-k variant.
+/// The per-permutation step of ComputeDcamSerial.
 bool AccumulatePermutation(models::GapModel* model, const Tensor& series,
                            int class_idx, const std::vector<int>& perm,
                            Tensor* msum);

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -164,30 +165,6 @@ void DcamEngine::Flush() {
   pending_count_ = 0;
 }
 
-int DcamEngine::Accumulate(const Tensor& series, int class_idx,
-                           const std::vector<std::vector<int>>& perms,
-                           Tensor* msum) {
-  DCAM_CHECK_EQ(series.rank(), 2) << "series must be a (D, n) tensor";
-  const int64_t D = series.dim(0), n = series.dim(1);
-  DCAM_CHECK(msum != nullptr);
-  DCAM_CHECK(msum->shape() == (Shape{D, D, n}))
-      << "msum must be the square (D, D, n) accumulator, got "
-      << ShapeToString(msum->shape());
-  DCAM_CHECK_EQ(pending_count_, 0) << "Accumulate may not be re-entered";
-  int num_correct = 0;
-  for (const std::vector<int>& perm : perms) {
-    Slot* slot = NextSlot();
-    slot->series = &series;
-    slot->perm = perm;
-    slot->class_idx = class_idx;
-    slot->msum = msum;
-    slot->num_correct = &num_correct;
-    if (pending_count_ == config_.batch) Flush();
-  }
-  Flush();
-  return num_correct;
-}
-
 DcamResult DcamEngine::Compute(const Tensor& series, int class_idx,
                                const DcamOptions& options) {
   return ComputeMany(std::vector<Tensor>{series}, std::vector<int>{class_idx},
@@ -206,10 +183,14 @@ std::vector<DcamResult> DcamEngine::ComputeMany(
 
 std::vector<DcamResult> DcamEngine::ComputeMany(
     const std::vector<Tensor>& series, const std::vector<int>& class_idx,
-    const std::vector<DcamOptions>& options) {
+    const std::vector<DcamOptions>& options, const DcamTickConfig& ticks,
+    const DcamTickFn& on_tick) {
   const size_t N = series.size();
   DCAM_CHECK_EQ(class_idx.size(), N);
   DCAM_CHECK_EQ(options.size(), N);
+  DCAM_CHECK(ticks.emit_partial.empty() || ticks.emit_partial.size() == N)
+      << "emit_partial must be empty or match the request count";
+  DCAM_CHECK_GE(ticks.tick_every, 0);
   DCAM_CHECK_EQ(pending_count_, 0) << "ComputeMany may not be re-entered";
   std::vector<DcamResult> results(N);
   if (N == 0) return results;
@@ -221,112 +202,35 @@ std::vector<DcamResult> DcamEngine::ComputeMany(
         << "DcamOptions.k must be a positive permutation count";
     DCAM_CHECK_GE(class_idx[i], 0);
     DCAM_CHECK_LT(class_idx[i], model_->num_classes());
-    results[i].k = options[i].k;
   }
+  // Without a callback nobody can observe a tick, so the whole budget is
+  // drawn in one round.
+  const int tick_every = !on_tick ? std::numeric_limits<int>::max()
+                         : ticks.tick_every > 0 ? ticks.tick_every
+                                                : config_.batch;
 
-  // Averages series i's accumulator over its k permutations and extracts
-  // Definition 3; with keep_mbar == false the (D, D, n) accumulator — the
-  // dominant per-instance memory — is released immediately.
-  size_t next_final = 0;
-  const auto finalize_through = [&](size_t end) {
-    for (; next_final < end; ++next_final) {
-      DcamResult& r = results[next_final];
-      const float inv = 1.0f / static_cast<float>(r.k);
-      float* m = r.mbar.data();
-      for (int64_t j = 0; j < r.mbar.size(); ++j) m[j] *= inv;
-      ExtractDcam(r.mbar, &r.dcam, &r.mu);
-      if (!options[next_final].keep_mbar) r.mbar = Tensor();
-    }
-  };
-
-  // Pack (series, permutation) pairs into batches. Permutations are drawn
-  // lazily, straight into reusable slots, so only the pending batch is ever
-  // materialized; a shape change flushes it so one input tensor serves each
-  // flush. Whenever the pending batch drains, every series whose stream is
-  // complete gets finalized, bounding live accumulators by the packing
-  // horizon instead of the dataset size.
-  for (size_t i = 0; i < N; ++i) {
-    if (pending_count_ > 0 &&
-        pending_[0].series->shape() != series[i].shape()) {
-      Flush();
-    }
-    if (pending_count_ == 0) finalize_through(i);
-    const int64_t D = series[i].dim(0), n = series[i].dim(1);
-    results[i].mbar = Tensor({D, D, n});
-    Rng rng(options[i].seed);
-    for (int j = 0; j < options[i].k; ++j) {
-      Slot* slot = NextSlot();
-      slot->series = &series[i];
-      slot->class_idx = class_idx[i];
-      slot->msum = &results[i].mbar;
-      slot->num_correct = &results[i].num_correct;
-      if (j == 0 && options[i].include_identity) {
-        slot->perm.resize(static_cast<size_t>(D));
-        std::iota(slot->perm.begin(), slot->perm.end(), 0);
-      } else {
-        rng.PermutationInto(static_cast<int>(D), &slot->perm);
-      }
-      if (pending_count_ == config_.batch) Flush();
-    }
-    if (pending_count_ == 0) finalize_through(i + 1);
-  }
-  Flush();
-  finalize_through(N);
-  return results;
-}
-
-std::vector<DcamResult> DcamEngine::ComputeManyChunked(
-    const std::vector<Tensor>& series, const std::vector<int>& class_idx,
-    const std::vector<DcamOptions>& options, const ChunkedConfig& chunked,
-    const DcamTickFn& on_tick) {
-  const size_t N = series.size();
-  DCAM_CHECK_EQ(class_idx.size(), N);
-  DCAM_CHECK_EQ(options.size(), N);
-  DCAM_CHECK(chunked.emit_partial.empty() || chunked.emit_partial.size() == N)
-      << "emit_partial must be empty or match the request count";
-  DCAM_CHECK_GE(chunked.tick_every, 0);
-  DCAM_CHECK_EQ(pending_count_, 0)
-      << "ComputeManyChunked may not be re-entered";
-  std::vector<DcamResult> results(N);
-  if (N == 0) return results;
-
-  for (size_t i = 0; i < N; ++i) {
-    DCAM_CHECK_EQ(series[i].rank(), 2)
-        << "series " << i << " must be a (D, n) tensor";
-    DCAM_CHECK_GT(options[i].k, 0)
-        << "DcamOptions.k must be a positive permutation count";
-    DCAM_CHECK_GE(class_idx[i], 0);
-    DCAM_CHECK_LT(class_idx[i], model_->num_classes());
-  }
-  const int tick_every =
-      chunked.tick_every > 0 ? chunked.tick_every : config_.batch;
-
-  // The permutation cursor of one request: its private Rng stream plus the
-  // partial-map scratch of the emit path. Unlike ComputeMany's streaming
-  // finalize, every accumulator stays live until its request retires —
-  // round-robin refinement touches all of them each round.
+  // The permutation cursor of one request: its private Rng stream, and the
+  // previous tick's map for the convergence delta.
   struct Cursor {
     Rng rng;
     int drawn = 0;
     bool live = true;
-    Tensor partial;      // msum / k_done, reused across ticks
-    Tensor partial_map;  // extracted (D, n) map handed to the callback
-    Tensor partial_mu;
-    Tensor prev_map;     // previous tick's map, for the delta
+    Tensor prev_map;
     explicit Cursor(uint64_t seed) : rng(seed) {}
   };
   std::vector<Cursor> cursors;
   cursors.reserve(N);
-  for (size_t i = 0; i < N; ++i) {
-    cursors.emplace_back(options[i].seed);
-    results[i].mbar = Tensor({series[i].dim(0), series[i].dim(0),
-                              series[i].dim(1)});
-  }
+  for (size_t i = 0; i < N; ++i) cursors.emplace_back(options[i].seed);
 
+  // Averages request i's accumulator over the permutations it drew and
+  // extracts Definition 3; with keep_mbar == false the (D, D, n)
+  // accumulator, the dominant per-request memory, is released at once.
+  size_t live_count = N;
   const auto finalize = [&](size_t i, bool cancelled) {
     DcamResult& r = results[i];
     Cursor& c = cursors[i];
     c.live = false;
+    --live_count;
     r.cancelled = cancelled;
     r.k = c.drawn;
     const float inv = 1.0f / static_cast<float>(r.k);
@@ -335,22 +239,39 @@ std::vector<DcamResult> DcamEngine::ComputeManyChunked(
     ExtractDcam(r.mbar, &r.dcam, &r.mu);
     if (!c.prev_map.empty()) {
       r.convergence = RelativeL2Delta(r.dcam, c.prev_map);
+      c.prev_map = Tensor();
     }
     if (!options[i].keep_mbar) r.mbar = Tensor();
   };
 
-  size_t live_count = N;
+  // Requests whose last permutation is pending; the next flush accumulates
+  // it, so they are finalized right behind it. Together with allocating an
+  // accumulator at its request's first draw, this bounds the live
+  // accumulators by the packing horizon instead of by N.
+  std::vector<size_t> drawn_out;
+  const auto flush = [&] {
+    Flush();
+    for (size_t i : drawn_out) finalize(i, /*cancelled=*/false);
+    drawn_out.clear();
+  };
+
+  Tensor partial, partial_map, partial_mu;  // emit scratch, reused per tick
   while (live_count > 0) {
     // Draw phase: up to tick_every permutations per live request, packed
-    // into shared forward batches with the same shape flush boundaries as
-    // ComputeMany. The end-of-round Flush is the tick barrier — every drawn
-    // permutation is accumulated before any callback observes a cursor.
+    // into shared forward batches; a shape change flushes so one input
+    // tensor serves each flush. The end-of-round flush is the tick barrier:
+    // every drawn permutation is accumulated before a callback observes a
+    // cursor.
     for (size_t i = 0; i < N; ++i) {
       Cursor& c = cursors[i];
       if (!c.live) continue;
       if (pending_count_ > 0 &&
           pending_[0].series->shape() != series[i].shape()) {
-        Flush();
+        flush();
+      }
+      const int64_t D = series[i].dim(0);
+      if (c.drawn == 0) {
+        results[i].mbar = Tensor({D, D, series[i].dim(1)});
       }
       const int take = std::min(tick_every, options[i].k - c.drawn);
       for (int j = 0; j < take; ++j) {
@@ -360,65 +281,53 @@ std::vector<DcamResult> DcamEngine::ComputeManyChunked(
         slot->msum = &results[i].mbar;
         slot->num_correct = &results[i].num_correct;
         if (c.drawn == 0 && options[i].include_identity) {
-          const int64_t D = series[i].dim(0);
           slot->perm.resize(static_cast<size_t>(D));
           std::iota(slot->perm.begin(), slot->perm.end(), 0);
         } else {
-          c.rng.PermutationInto(static_cast<int>(series[i].dim(0)),
-                                &slot->perm);
+          c.rng.PermutationInto(static_cast<int>(D), &slot->perm);
         }
-        ++c.drawn;
-        if (pending_count_ == config_.batch) Flush();
+        if (++c.drawn == options[i].k) drawn_out.push_back(i);
+        if (pending_count_ == config_.batch) flush();
       }
     }
-    Flush();
+    flush();
 
-    // Tick phase. Requests whose budget completed this round return their
-    // terminal result instead of a tick; everyone else reports its cursor
-    // and may be cancelled at this boundary.
+    // Tick phase: every request still live has budget left; it reports its
+    // cursor and may be cancelled at this boundary.
     for (size_t i = 0; i < N; ++i) {
       Cursor& c = cursors[i];
       if (!c.live) continue;
-      if (c.drawn >= options[i].k) {
-        finalize(i, /*cancelled=*/false);
-        --live_count;
-        continue;
-      }
       DcamTick tick;
       tick.index = i;
       tick.k_done = c.drawn;
       tick.k_target = options[i].k;
       tick.num_correct = results[i].num_correct;
-      const bool emit = !chunked.emit_partial.empty() &&
-                        chunked.emit_partial[i] != 0;
+      const bool emit =
+          !ticks.emit_partial.empty() && ticks.emit_partial[i] != 0;
       if (emit) {
-        // Partial M-bar = msum / k_done — the same estimator the terminal
+        // Partial M-bar = msum / k_done: the same estimator the terminal
         // path averages, at a smaller sample.
-        EnsureTensorShape(&c.partial, results[i].mbar.shape());
+        EnsureTensorShape(&partial, results[i].mbar.shape());
         const float inv = 1.0f / static_cast<float>(c.drawn);
         const float* src = results[i].mbar.data();
-        float* dst = c.partial.data();
-        for (int64_t j = 0; j < c.partial.size(); ++j) dst[j] = src[j] * inv;
-        ExtractDcam(c.partial, &c.partial_map, &c.partial_mu);
-        tick.map = &c.partial_map;
-        tick.mu = &c.partial_mu;
+        float* dst = partial.data();
+        for (int64_t j = 0; j < partial.size(); ++j) dst[j] = src[j] * inv;
+        ExtractDcam(partial, &partial_map, &partial_mu);
+        tick.map = &partial_map;
+        tick.mu = &partial_mu;
         tick.delta = c.prev_map.empty()
                          ? 1.0
-                         : RelativeL2Delta(c.partial_map, c.prev_map);
+                         : RelativeL2Delta(partial_map, c.prev_map);
       }
-      const TickAction action =
-          on_tick ? on_tick(tick) : TickAction::kContinue;
+      const TickAction action = on_tick(tick);
       if (emit) {
-        // Keep this tick's map for the next delta; the moved-from slot is
+        // Keep this tick's map for the next delta; the moved-from tensor is
         // re-allocated by the next ExtractDcam, so the callback's pointer
         // was never aliased by prev_map while it could still be read.
-        c.prev_map = std::move(c.partial_map);
-        c.partial_map = Tensor();
+        c.prev_map = std::move(partial_map);
+        partial_map = Tensor();
       }
-      if (action == TickAction::kCancel) {
-        finalize(i, /*cancelled=*/true);
-        --live_count;
-      }
+      if (action == TickAction::kCancel) finalize(i, /*cancelled=*/true);
     }
   }
   return results;

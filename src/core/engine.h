@@ -21,6 +21,11 @@
 // live on the engine — nothing is re-allocated across series either, which
 // is what the dataset-level (global) explanation path exploits.
 //
+// ComputeMany is the one k-loop: draw a permutation, flush a batch,
+// finalize a request. Compute, ExplainDataset, the explain service's
+// coalesced and streaming groups, and the adaptive-k variant (a tick
+// callback with a stopping rule, see variants.h) all run on it.
+//
 // Determinism contract: at a fixed seed the engine is bit-identical to
 // ComputeDcamSerial for every batch size (same mbar, same dcam, same n_g).
 // Per-instance model outputs do not depend on the batch they ride in (each
@@ -42,14 +47,14 @@
 namespace dcam {
 namespace core {
 
-/// One refinement checkpoint of a ComputeManyChunked request: its
+/// One refinement checkpoint of a ComputeMany request: its
 /// permutation cursor after a tick round, plus — when the request was asked
 /// to emit partials — the anytime dCAM map at that cursor. Ticks exist
 /// because the k-loop is an anytime algorithm: mbar at k_done < k_target is
 /// the same estimator at a smaller sample, so the partial map is meaningful
 /// the whole way down.
 struct DcamTick {
-  /// Position of the request in the ComputeManyChunked argument arrays.
+  /// Position of the request in the ComputeMany argument arrays.
   size_t index = 0;
   /// Permutations accumulated so far (> 0) and the request's full budget.
   int k_done = 0;
@@ -57,7 +62,7 @@ struct DcamTick {
   /// n_g over the k_done permutations evaluated so far.
   int num_correct = 0;
   /// Partial dCAM map (D, n) and temporal filter mu (n) at k_done. Null
-  /// unless ChunkedConfig::emit_partial[index]; points at engine-owned
+  /// unless DcamTickConfig::emit_partial[index]; points at engine-owned
   /// scratch that is only valid during the callback (clone to keep).
   const Tensor* map = nullptr;
   const Tensor* mu = nullptr;
@@ -74,6 +79,17 @@ struct DcamTick {
 enum class TickAction { kContinue, kCancel };
 
 using DcamTickFn = std::function<TickAction(const DcamTick&)>;
+
+/// Per-call tick settings of DcamEngine::ComputeMany (ignored without a
+/// callback).
+struct DcamTickConfig {
+  /// Permutations drawn per request per tick round; 0 = the engine batch
+  /// width (one full forward batch per round per live request).
+  int tick_every = 0;
+  /// Per-request: emit the partial map (and delta) on each tick. Costs a
+  /// (D, D, n) copy + extraction per tick. Empty = all false.
+  std::vector<uint8_t> emit_partial;
+};
 
 class DcamEngine {
  public:
@@ -100,62 +116,45 @@ class DcamEngine {
   DcamResult Compute(const Tensor& series, int class_idx,
                      const DcamOptions& options = {});
 
-  /// Evaluates the given permutations against `series` in batches,
-  /// scattering each CAM into `msum` (D, D, n, pre-allocated, accumulated
-  /// in-place). Returns how many permutations the model classified as
-  /// `class_idx` (the n_g criterion). Building block of the adaptive-k
-  /// variant, which needs custom permutation schedules.
-  int Accumulate(const Tensor& series, int class_idx,
-                 const std::vector<std::vector<int>>& perms, Tensor* msum);
-
-  /// Explains many series in one pass: result[i] explains series[i] (D, n_i)
-  /// w.r.t. class_idx[i] under options[i]. Permutation batches are packed
-  /// across series boundaries whenever consecutive series share (D, n), so
-  /// tail underfill costs at most one partial batch per shape change — the
-  /// dataset-level path of Section 4.6.
+  /// The k-loop. Explains many series in one pass: result[i] explains
+  /// series[i] (D, n_i) w.r.t. class_idx[i] under options[i]. Permutation
+  /// batches are packed across series boundaries whenever consecutive
+  /// series share (D, n), so tail underfill costs at most one partial batch
+  /// per shape change — the dataset-level path of Section 4.6.
+  ///
+  /// Requests advance round-robin: each round draws up to
+  /// `ticks.tick_every` permutations per live request, then `on_tick` fires
+  /// once per still-unfinished request with its cursor — and, for requests
+  /// flagged in `ticks.emit_partial`, the partial map plus the convergence
+  /// delta. Returning kCancel retires the request at that boundary; its
+  /// unspent budget is never drawn, so later rounds pack only live
+  /// requests. Ticks never fire for a request whose budget completed during
+  /// the round, so a request with k <= tick_every sees zero ticks. Without
+  /// a callback the whole budget is drawn in a single round.
+  ///
+  /// Memory: a request's (D, D, n) accumulator is allocated at its first
+  /// draw and finalized right after the flush that accumulates its last
+  /// permutation, so with keep_mbar == false and no callback the live
+  /// accumulators are bounded by the packing horizon, not by N. With a
+  /// callback every started request stays live until it retires.
+  ///
+  /// Determinism: per-request accumulation order depends only on that
+  /// request's own permutation order, and per-instance forwards/CAMs are
+  /// batch-composition-independent, so an uncancelled request's result is
+  /// bit-identical to ComputeDcamSerial at the same seed, regardless of
+  /// tick_every, of cancellations among batch-mates, and of how rounds
+  /// interleave requests. (Verified by engine_test.)
   std::vector<DcamResult> ComputeMany(const std::vector<Tensor>& series,
                                       const std::vector<int>& class_idx,
-                                      const std::vector<DcamOptions>& options);
+                                      const std::vector<DcamOptions>& options,
+                                      const DcamTickConfig& ticks = {},
+                                      const DcamTickFn& on_tick = nullptr);
 
   /// Shared-options overload: instance i uses options.seed + i so that
   /// per-instance permutation streams stay independent.
   std::vector<DcamResult> ComputeMany(const std::vector<Tensor>& series,
                                       const std::vector<int>& class_idx,
                                       const DcamOptions& options = {});
-
-  /// Tick-granular ComputeMany for the anytime/streaming path. Requests
-  /// advance round-robin: each round draws up to `tick_every` permutations
-  /// per live request (packed into shared forward batches exactly like
-  /// ComputeMany), then `on_tick` fires once per still-unfinished request
-  /// with its cursor — and, for requests flagged in `emit_partial`, the
-  /// partial map plus the convergence delta. Returning kCancel retires the
-  /// request at that boundary; its unspent budget is simply never drawn, so
-  /// the remaining rounds pack only live requests.
-  ///
-  /// Determinism: per-request accumulation order depends only on that
-  /// request's own permutation order, and per-instance forwards/CAMs are
-  /// batch-composition-independent, so an uncancelled request's terminal
-  /// result is bit-identical to ComputeMany at the same seed — regardless of
-  /// tick_every, of cancellations among batch-mates, and of how rounds
-  /// interleave requests. (Verified by engine_test.)
-  ///
-  /// Ticks never fire for a request whose budget completed during the round
-  /// (terminal results are returned, not ticked), so a request with
-  /// k <= tick_every sees zero ticks. Unlike ComputeMany, all N (D, D, n)
-  /// accumulators are live for the whole call — callers bound N (the
-  /// service chunks groups at Config::max_coalesce).
-  struct ChunkedConfig {
-    /// Permutations drawn per request per tick round; 0 = the engine batch
-    /// width (one full forward batch per round per live request).
-    int tick_every = 0;
-    /// Per-request: emit the partial map (and delta) on each tick. Costs a
-    /// (D, D, n) clone + extraction per tick. Empty = all false.
-    std::vector<uint8_t> emit_partial;
-  };
-  std::vector<DcamResult> ComputeManyChunked(
-      const std::vector<Tensor>& series, const std::vector<int>& class_idx,
-      const std::vector<DcamOptions>& options, const ChunkedConfig& chunked,
-      const DcamTickFn& on_tick);
 
   models::GapModel* model() const { return model_; }
   int batch() const { return config_.batch; }

@@ -43,8 +43,9 @@ struct DatasetExplanation {
 /// batches are packed across series, so the whole dataset shares one set of
 /// input/CAM scratch buffers — then aggregates the per-instance dCAMs over
 /// `segments` into a GlobalExplanation. The returned results carry dcam, mu
-/// and n_g but not mbar (released per-series to keep the pass O(1) in
-/// accumulator memory); call ComputeMany directly if you need the M-bars.
+/// and n_g but not mbar: each accumulator is released as its series
+/// completes, so live accumulators are bounded by the packing horizon, not
+/// by the dataset size. Call ComputeMany with keep_mbar for the M-bars.
 DatasetExplanation ExplainDataset(DcamEngine* engine,
                                   const std::vector<Tensor>& series,
                                   const std::vector<int>& class_idx,

@@ -1,10 +1,9 @@
 #include "core/variants.h"
 
 #include <cmath>
-#include <numeric>
+#include <utility>
 
 #include "core/engine.h"
-#include "util/rng.h"
 
 namespace dcam {
 namespace core {
@@ -117,74 +116,44 @@ AdaptiveDcamResult ComputeDcamAdaptive(models::GapModel* model,
   DCAM_CHECK_GE(options.max_k, options.batch);
   DCAM_CHECK_GT(options.tolerance, 0.0);
   DCAM_CHECK_GE(options.stable_batches, 1);
-  const int64_t D = series.dim(0), n = series.dim(1);
 
-  Rng rng(options.seed);
-  std::vector<int> identity(static_cast<size_t>(D));
-  std::iota(identity.begin(), identity.end(), 0);
-
-  AdaptiveDcamResult out;
-  Tensor msum({D, D, n});
-  Tensor prev_map;
-  int stable = 0;
-  int num_correct = 0;
-  int k = 0;
-
-  // Each convergence batch is evaluated by the batched engine in (at most)
-  // one forward; the permutation schedule (and hence the result, bit for
-  // bit) is the same as the serial per-permutation loop.
+  // The stopping rule is a tick callback over the engine's k-loop: each
+  // convergence batch is one tick round (one forward), every tick emits the
+  // partial map and its delta, and the callback cancels once the map is
+  // stable. The permutation schedule is the fixed-k one at the same seed.
   DcamEngine::Config engine_config;
   engine_config.batch = options.batch;
   DcamEngine engine(model, engine_config);
-  std::vector<std::vector<int>> batch_perms;
+  DcamOptions dcam_options;
+  dcam_options.k = options.max_k;
+  dcam_options.seed = options.seed;
+  dcam_options.include_identity = options.include_identity;
+  DcamTickConfig ticks;
+  ticks.tick_every = options.batch;
+  ticks.emit_partial = {1};
 
-  while (k < options.max_k) {
-    const int take = std::min(options.batch, options.max_k - k);
-    batch_perms.resize(static_cast<size_t>(take));
-    for (int i = 0; i < take; ++i) {
-      if (k == 0 && options.include_identity) {
-        batch_perms[static_cast<size_t>(i)] = identity;
-      } else {
-        rng.PermutationInto(static_cast<int>(D),
-                            &batch_perms[static_cast<size_t>(i)]);
-      }
-      ++k;
-    }
-    num_correct += engine.Accumulate(series, class_idx, batch_perms, &msum);
-
-    // Current M-bar = msum / k; extraction is scale-covariant in a way that
-    // does not affect the relative-delta criterion, but use the true average
-    // so result.mbar is exactly the paper's object.
-    Tensor mbar = msum.Clone();
-    const float inv = 1.0f / static_cast<float>(k);
-    for (int64_t i = 0; i < mbar.size(); ++i) mbar[i] *= inv;
-    Tensor map, mu;
-    ExtractDcam(mbar, &map, &mu);
-
-    if (!prev_map.empty()) {
-      const double delta = RelativeL2Delta(map, prev_map);
-      out.deltas.push_back(delta);
-      if (delta < options.tolerance) {
-        if (++stable >= options.stable_batches) {
-          out.converged = true;
-          out.result.dcam = std::move(map);
-          out.result.mbar = std::move(mbar);
-          out.result.mu = std::move(mu);
-          break;
-        }
-      } else {
-        stable = 0;
-      }
-    }
-    prev_map = map;
-    out.result.dcam = std::move(map);
-    out.result.mbar = std::move(mbar);
-    out.result.mu = std::move(mu);
+  AdaptiveDcamResult out;
+  int stable = 0;
+  // Records one convergence check; true once it completes the stable run.
+  const auto check = [&](double delta) {
+    out.deltas.push_back(delta);
+    stable = delta < options.tolerance ? stable + 1 : 0;
+    return stable >= options.stable_batches;
+  };
+  out.result = std::move(engine.ComputeMany(
+      {series}, {class_idx}, {dcam_options}, ticks,
+      [&](const DcamTick& tick) {
+        // The first tick has no previous map to compare against.
+        if (tick.k_done == options.batch) return TickAction::kContinue;
+        return check(tick.delta) ? TickAction::kCancel : TickAction::kContinue;
+      })[0]);
+  out.converged = out.result.cancelled;
+  // Budget spent: the terminal map's delta is the last check, unless the
+  // budget was a single batch and no tick ever fired.
+  if (!out.converged && out.result.k > options.batch) {
+    out.converged = check(out.result.convergence);
   }
-
-  out.k_used = k;
-  out.result.k = k;
-  out.result.num_correct = num_correct;
+  out.k_used = out.result.k;
   return out;
 }
 

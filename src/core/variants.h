@@ -7,7 +7,9 @@
 //     that "studying ... architectures that could reduce the number of
 //     permutations needed is an open research problem" (Section 5.5); the
 //     stopping rule here addresses the practical side: spend permutations
-//     only while they still change the answer.
+//     only while they still change the answer. It runs as a tick callback
+//     over DcamEngine::ComputeMany, so a converged map is exactly the
+//     fixed-k map at k = k_used.
 //   * ContrastiveDcam — the difference map dCAM_Ca - dCAM_Cb, highlighting
 //     features that argue for class a specifically over class b.
 

@@ -442,6 +442,47 @@ void ExplainService::ValidateRequest(const ExplainRequest& request) {
         std::to_string(request.series.dim(0)) + ", " +
         std::to_string(request.series.dim(1)) + ") series");
   }
+  // The option ranges the explainers DCAM_CHECK, rejected before a
+  // scheduler thread could abort on them.
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("ExplainRequest ") + what);
+  };
+  const int classes = model->num_classes();
+  const ExplainOptions& o = request.options;
+  const std::string& m = request.method;
+  require(request.class_idx >= 0 && request.class_idx < classes,
+          "class_idx must be in [0, num_classes)");
+  if (m == "dcam" || m == "dcam_serial" || m == "dcam_contrastive") {
+    require(o.dcam.k > 0, "options.dcam.k must be positive");
+  }
+  if (m == "dcam_contrastive") {
+    require(o.contrast_class >= 0 && o.contrast_class < classes &&
+                o.contrast_class != request.class_idx,
+            "options.contrast_class must be a class other than class_idx");
+  }
+  if (m == "dcam_adaptive") {
+    const core::AdaptiveDcamOptions& a = o.adaptive;
+    require(a.batch >= 1 && a.max_k >= a.batch && a.tolerance > 0.0 &&
+                a.stable_batches >= 1,
+            "options.adaptive needs batch >= 1, max_k >= batch, "
+            "tolerance > 0 and stable_batches >= 1");
+  }
+  if (m == "occlusion") {
+    require(o.occlusion.window >= 1 && o.occlusion.stride >= 1 &&
+                o.occlusion.batch >= 1,
+            "options.occlusion needs window, stride and batch >= 1");
+  }
+  if (m == "smoothgrad") {
+    require(o.smoothgrad.samples >= 1 && o.smoothgrad.noise_fraction >= 0.0f,
+            "options.smoothgrad needs samples >= 1 and noise_fraction >= 0");
+  }
+  if (m == "integrated_gradients") {
+    require(o.integrated.steps >= 1 &&
+                (o.integrated.baseline.empty() ||
+                 o.integrated.baseline.shape() == request.series.shape()),
+            "options.integrated needs steps >= 1 and an empty or "
+            "series-shaped baseline");
+  }
 }
 
 Ticket ExplainService::MakeTicket(Pending* p,
@@ -1076,10 +1117,10 @@ void ExplainService::ProcessDcamGroup(Shard* shard, models::Model* model,
   core::DcamEngine* engine = engine_it->second.get();
 
   // Chunks bound the number of live (D, D, n) accumulators; within a chunk
-  // the engine packs permutation batches across the requests. The chunked
-  // entry point draws each request's permutations in the same per-request
-  // order as ComputeMany, so the terminal maps are bit-identical to the
-  // blocking path — ticks only add observation points.
+  // the engine packs permutation batches across the requests. Each request's
+  // permutations are drawn in the same per-request order whatever the tick
+  // cadence, so the terminal maps are bit-identical to the blocking path —
+  // ticks only add observation points.
   const size_t n = group->size();
   for (size_t begin = 0; begin < n;
        begin += static_cast<size_t>(config_.max_coalesce)) {
@@ -1088,9 +1129,9 @@ void ExplainService::ProcessDcamGroup(Shard* shard, models::Model* model,
     std::vector<Tensor> series;
     std::vector<int> classes;
     std::vector<core::DcamOptions> options;
-    core::DcamEngine::ChunkedConfig chunked;
-    chunked.tick_every = config_.stream_tick_k;
-    chunked.emit_partial.assign(end - begin, 0);
+    core::DcamTickConfig ticks;
+    ticks.tick_every = config_.stream_tick_k;
+    ticks.emit_partial.assign(end - begin, 0);
     series.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
       Pending* p = (*group)[i];
@@ -1099,10 +1140,10 @@ void ExplainService::ProcessDcamGroup(Shard* shard, models::Model* model,
       core::DcamOptions opts = p->request.options.dcam;
       opts.keep_mbar = false;  // match the "dcam" adapter exactly
       options.push_back(opts);
-      chunked.emit_partial[i - begin] = p->wants_ticks ? 1 : 0;
+      ticks.emit_partial[i - begin] = p->wants_ticks ? 1 : 0;
     }
-    const std::vector<core::DcamResult> results = engine->ComputeManyChunked(
-        series, classes, options, chunked,
+    const std::vector<core::DcamResult> results = engine->ComputeMany(
+        series, classes, options, ticks,
         [&](const core::DcamTick& tick) {
           return on_tick((*group)[begin + tick.index], tick);
         });

@@ -30,7 +30,7 @@
 //         [cache probe]      [cache probe]        (one cache, shared)
 //                |  miss            |  miss
 //                v                  v
-//         coalesce "dcam" per model -> ComputeManyChunked; others 1-at-a-time
+//         coalesce "dcam" per model -> ComputeMany; others 1-at-a-time
 //                |
 //                |  every `stream_tick_k` permutations, per request:
 //                |    - streaming sinks get Completion{kTick: partial map,

@@ -1,0 +1,113 @@
+// Peak accumulator memory of the dataset-level path. ExplainDataset runs the
+// engine's k-loop without a tick callback: a request's (D, D, n) accumulator
+// is allocated at its first draw and, with keep_mbar == false, released right
+// after the flush that accumulates its last permutation. The live
+// accumulators are therefore bounded by the packing horizon (the requests one
+// forward batch can span) and not by the dataset size.
+//
+// Tensor storage comes from `new float[]`, so this binary replaces the global
+// array new/delete with a size-tagged malloc and counts the live arrays of
+// the accumulator's exact byte size.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+
+#include "core/engine.h"
+#include "core/global.h"
+#include "models/cnn.h"
+#include "util/rng.h"
+
+namespace {
+
+std::atomic<size_t> g_watch_bytes{0};
+std::atomic<int64_t> g_live{0};
+std::atomic<int64_t> g_peak{0};
+constexpr size_t kHeader = alignof(std::max_align_t);
+
+}  // namespace
+
+void* operator new[](std::size_t bytes) {
+  void* raw = std::malloc(bytes + kHeader);
+  if (raw == nullptr) throw std::bad_alloc();
+  *static_cast<size_t*>(raw) = bytes;
+  const size_t watch = g_watch_bytes.load();
+  if (watch != 0 && bytes == watch) {
+    const int64_t live = g_live.fetch_add(1) + 1;
+    int64_t peak = g_peak.load();
+    while (live > peak && !g_peak.compare_exchange_weak(peak, live)) {
+    }
+  }
+  return static_cast<char*>(raw) + kHeader;
+}
+
+void operator delete[](void* p) noexcept {
+  if (p == nullptr) return;
+  void* raw = static_cast<char*>(p) - kHeader;
+  const size_t watch = g_watch_bytes.load();
+  if (watch != 0 && *static_cast<size_t*>(raw) == watch) g_live.fetch_sub(1);
+  std::free(raw);
+}
+
+void operator delete[](void* p, std::size_t) noexcept { operator delete[](p); }
+
+namespace dcam {
+namespace core {
+namespace {
+
+TEST(DcamEngineMemoryTest, DatasetPassKeepsAccumulatorsBoundedByHorizon) {
+  // D * D * n = 333 floats: no cube, activation, CAM or map of this tiny
+  // dCNN at batch 4 has that size, so every watched array is an accumulator.
+  const int D = 3, n = 37, N = 48;
+  Rng rng(61);
+  models::ConvNetConfig cfg;
+  cfg.filters = {4, 4};
+  models::ConvNet model(models::InputMode::kCube, D, 2, cfg, &rng);
+
+  std::vector<Tensor> series;
+  std::vector<int> classes;
+  std::vector<DcamOptions> options;
+  std::vector<std::vector<int>> segments;
+  for (int i = 0; i < N; ++i) {
+    Tensor s({D, n});
+    s.FillNormal(&rng, 0.0f, 1.0f);
+    series.push_back(s);
+    classes.push_back(i % 2);
+    DcamOptions o;
+    o.k = 3;  // 4-wide batches span two requests; N * k fills every batch
+    o.seed = 900 + i;
+    options.push_back(o);
+    segments.emplace_back(n, i % 2);
+  }
+  DcamEngine::Config engine_cfg;
+  engine_cfg.batch = 4;
+  DcamEngine engine(&model, engine_cfg);
+  // Warm-up outside the watch: the engine's one-time cube-model probe
+  // allocates a (1, D, D, n) tensor, the accumulator's size.
+  (void)engine.Compute(series[0], 0, options[0]);
+
+  g_live.store(0);
+  g_peak.store(0);
+  g_watch_bytes.store(sizeof(float) * D * D * n);
+  const DatasetExplanation out =
+      ExplainDataset(&engine, series, classes, options, segments, 2);
+  g_watch_bytes.store(0);
+
+  ASSERT_EQ(out.results.size(), static_cast<size_t>(N));
+  for (const DcamResult& r : out.results) {
+    EXPECT_TRUE(r.mbar.empty());
+    EXPECT_EQ(r.k, 3);
+  }
+  // Seen at all (the hook works), and never more than the requests one
+  // pending batch can span plus the one being drawn.
+  EXPECT_GE(g_peak.load(), 1);
+  EXPECT_LE(g_peak.load(), engine_cfg.batch + 1);
+  EXPECT_EQ(g_live.load(), 0);
+}
+
+}  // namespace
+}  // namespace core
+}  // namespace dcam

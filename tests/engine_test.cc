@@ -351,12 +351,14 @@ TEST(CamBatchedTest, MatchesPerInstanceCam) {
   }
 }
 
-// ---- ComputeManyChunked: the anytime/streaming entry point -----------------
+// ---- ComputeMany with a tick callback: the anytime/streaming path ---------
 
-TEST(DcamEngineChunkedTest, TerminalBitIdenticalToComputeMany) {
-  // Round-robin chunked accumulation must not change a single bit of the
-  // terminal results: each request's permutations are drawn from its own Rng
-  // stream in the same order, whatever the tick cadence.
+TEST(DcamEngineTickTest, TerminalBitIdenticalToSerialAtEveryCadence) {
+  // Round-robin tick rounds must not change a single bit of the terminal
+  // results: each request's permutations are drawn from its own Rng stream
+  // in the same order, whatever the tick cadence. The callback only
+  // continues; without one the loop would run a single round and the
+  // cadences would not be exercised.
   Rng rng(31);
   const int D = 4, n = 12;
   auto model = TinyDcnn(D, &rng, 3);
@@ -376,23 +378,29 @@ TEST(DcamEngineChunkedTest, TerminalBitIdenticalToComputeMany) {
   DcamEngine::Config cfg;
   cfg.batch = 8;
   DcamEngine engine(model.get(), cfg);
-  const std::vector<DcamResult> want =
-      engine.ComputeMany(series, classes, options);
   for (int tick_every : {0, 1, 3, 8, 100}) {
     SCOPED_TRACE("tick_every=" + std::to_string(tick_every));
-    DcamEngine::ChunkedConfig chunked;
-    chunked.tick_every = tick_every;
-    const std::vector<DcamResult> got =
-        engine.ComputeManyChunked(series, classes, options, chunked, nullptr);
+    DcamTickConfig ticks;
+    ticks.tick_every = tick_every;
+    int fired = 0;
+    const std::vector<DcamResult> got = engine.ComputeMany(
+        series, classes, options, ticks, [&](const DcamTick&) {
+          ++fired;
+          return TickAction::kContinue;
+        });
+    // k = 7..16 against cadence 100 completes in one round: no ticks.
+    EXPECT_EQ(fired > 0, tick_every < 100);
     for (size_t i = 0; i < series.size(); ++i) {
       SCOPED_TRACE("series " + std::to_string(i));
       EXPECT_FALSE(got[i].cancelled);
-      ExpectBitIdentical(want[i], got[i]);
+      ExpectBitIdentical(
+          ComputeDcamSerial(model.get(), series[i], classes[i], options[i]),
+          got[i]);
     }
   }
 }
 
-TEST(DcamEngineChunkedTest, TicksAreMonotoneAndPartialMapsExact) {
+TEST(DcamEngineTickTest, TicksAreMonotoneAndPartialMapsExact) {
   Rng rng(32);
   const int D = 4, n = 12;
   auto model = TinyDcnn(D, &rng);
@@ -405,14 +413,14 @@ TEST(DcamEngineChunkedTest, TicksAreMonotoneAndPartialMapsExact) {
   cfg.batch = 4;
   DcamEngine engine(model.get(), cfg);
 
-  DcamEngine::ChunkedConfig chunked;
-  chunked.tick_every = 3;
-  chunked.emit_partial = {1};
+  DcamTickConfig ticks;
+  ticks.tick_every = 3;
+  ticks.emit_partial = {1};
   std::vector<int> k_seen;
   std::vector<double> deltas;
   std::vector<Tensor> maps;
-  engine.ComputeManyChunked(
-      {series}, {0}, {opts}, chunked,
+  engine.ComputeMany(
+      {series}, {0}, {opts}, ticks,
       [&](const DcamTick& tick) -> TickAction {
         EXPECT_EQ(tick.index, 0u);
         EXPECT_EQ(tick.k_target, 10);
@@ -441,7 +449,7 @@ TEST(DcamEngineChunkedTest, TicksAreMonotoneAndPartialMapsExact) {
   }
 }
 
-TEST(DcamEngineChunkedTest, CancelStopsOneRequestOthersExact) {
+TEST(DcamEngineTickTest, CancelStopsOneRequestOthersExact) {
   Rng rng(33);
   const int D = 4, n = 12;
   auto model = TinyDcnn(D, &rng);
@@ -460,10 +468,10 @@ TEST(DcamEngineChunkedTest, CancelStopsOneRequestOthersExact) {
   cfg.batch = 4;
   DcamEngine engine(model.get(), cfg);
 
-  DcamEngine::ChunkedConfig chunked;
-  chunked.tick_every = 4;
-  const std::vector<DcamResult> got = engine.ComputeManyChunked(
-      series, {0, 1}, options, chunked, [&](const DcamTick& tick) {
+  DcamTickConfig ticks;
+  ticks.tick_every = 4;
+  const std::vector<DcamResult> got = engine.ComputeMany(
+      series, {0, 1}, options, ticks, [&](const DcamTick& tick) {
         // Cancel request 0 at its first boundary; request 1 runs to budget.
         return tick.index == 0 ? TickAction::kCancel : TickAction::kContinue;
       });

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -439,7 +440,67 @@ TEST(ServiceValidateTest, CallerErrorsThrowSynchronouslyWithoutTouchingSinks) {
   req = DcamRequest("flat", series, 0, 5, 7700);
   expect_invalid(req);
 
+  // Option ranges the explainers DCAM_CHECK are caller errors as well: each
+  // of these would otherwise abort the scheduler thread mid-batch.
+  const auto with = [&](const std::string& method,
+                        const std::function<void(ExplainRequest*)>& edit) {
+    ExplainRequest r = DcamRequest("m", series, 0, 5, 7700);
+    r.method = method;
+    edit(&r);
+    return r;
+  };
+  for (const char* method :
+       {"dcam", "dcam_serial", "dcam_adaptive", "occlusion", "smoothgrad"}) {
+    SCOPED_TRACE(method);
+    expect_invalid(with(method, [](ExplainRequest* r) { r->class_idx = 7; }));
+    expect_invalid(with(method, [](ExplainRequest* r) { r->class_idx = -1; }));
+  }
+  for (const char* method : {"dcam", "dcam_serial", "dcam_contrastive"}) {
+    SCOPED_TRACE(method);
+    expect_invalid(with(method, [](ExplainRequest* r) {
+      r->options.contrast_class = 1;
+      r->options.dcam.k = 0;
+    }));
+  }
+  for (int contrast : {-1, 0, 2}) {  // unset, == class_idx, out of range
+    expect_invalid(with("dcam_contrastive", [&](ExplainRequest* r) {
+      r->options.contrast_class = contrast;
+    }));
+  }
+  const std::vector<std::function<void(core::AdaptiveDcamOptions*)>>
+      bad_adaptive = {
+          [](core::AdaptiveDcamOptions* a) { a->batch = 0; },
+          [](core::AdaptiveDcamOptions* a) { a->max_k = a->batch - 1; },
+          [](core::AdaptiveDcamOptions* a) { a->tolerance = 0.0; },
+          [](core::AdaptiveDcamOptions* a) { a->stable_batches = 0; },
+      };
+  for (const auto& edit : bad_adaptive) {
+    expect_invalid(with("dcam_adaptive", [&](ExplainRequest* r) {
+      edit(&r->options.adaptive);
+    }));
+  }
+  expect_invalid(with("occlusion",
+                      [](ExplainRequest* r) { r->options.occlusion.window = 0; }));
+  expect_invalid(with("occlusion",
+                      [](ExplainRequest* r) { r->options.occlusion.stride = 0; }));
+  expect_invalid(with("occlusion",
+                      [](ExplainRequest* r) { r->options.occlusion.batch = 0; }));
+  expect_invalid(with("smoothgrad", [](ExplainRequest* r) {
+    r->options.smoothgrad.samples = 0;
+  }));
+  expect_invalid(with("smoothgrad", [](ExplainRequest* r) {
+    r->options.smoothgrad.noise_fraction = -0.5f;
+  }));
+  expect_invalid(with("integrated_gradients", [](ExplainRequest* r) {
+    r->options.integrated.steps = 0;
+  }));
+  expect_invalid(with("integrated_gradients", [](ExplainRequest* r) {
+    r->options.integrated.baseline = Tensor({kDims, kLen + 1});
+  }));
+
   EXPECT_EQ(service.stats().requests, 0u);  // nothing was admitted
+  // The service survived every rejection and still serves a valid request.
+  EXPECT_EQ(service.Explain(DcamRequest("m", series, 1, 5, 7700)).k, 5);
 }
 
 TEST(ServiceErrorTest, LoadAndLifecycleErrorsShareOneBase) {

@@ -28,6 +28,23 @@ Tensor RandomSeries(int64_t d, int64_t n, uint64_t seed) {
   return t;
 }
 
+void ExpectBitIdentical(const DcamResult& a, const DcamResult& b) {
+  ASSERT_EQ(a.mbar.shape(), b.mbar.shape());
+  for (int64_t i = 0; i < a.mbar.size(); ++i) {
+    ASSERT_EQ(a.mbar[i], b.mbar[i]) << "mbar differs at flat index " << i;
+  }
+  ASSERT_EQ(a.dcam.shape(), b.dcam.shape());
+  for (int64_t i = 0; i < a.dcam.size(); ++i) {
+    ASSERT_EQ(a.dcam[i], b.dcam[i]) << "dcam differs at flat index " << i;
+  }
+  ASSERT_EQ(a.mu.shape(), b.mu.shape());
+  for (int64_t i = 0; i < a.mu.size(); ++i) {
+    ASSERT_EQ(a.mu[i], b.mu[i]) << "mu differs at flat index " << i;
+  }
+  EXPECT_EQ(a.num_correct, b.num_correct);
+  EXPECT_EQ(a.k, b.k);
+}
+
 TEST(ExtractionRuleTest, NamesAreUniqueAndComplete) {
   const auto& all = AllExtractionRules();
   EXPECT_EQ(all.size(), 4u);
@@ -120,12 +137,51 @@ TEST(AdaptiveDcamTest, ExhaustedBudgetMatchesFixedK) {
   fopt.seed = 9;
   const DcamResult fixed = ComputeDcam(model.get(), series, 1, fopt);
 
-  // Same seed, same permutation sequence: identical M-bar and map.
-  ASSERT_EQ(adaptive.result.mbar.shape(), fixed.mbar.shape());
-  for (int64_t i = 0; i < fixed.mbar.size(); ++i) {
-    EXPECT_NEAR(adaptive.result.mbar[i], fixed.mbar[i], 1e-5f);
-  }
-  EXPECT_EQ(adaptive.result.num_correct, fixed.num_correct);
+  // Same seed, same permutation sequence: bit-identical M-bar, map and mu.
+  ExpectBitIdentical(adaptive.result, fixed);
+}
+
+TEST(AdaptiveDcamTest, ConvergedMapIsFixedKMapAtKUsed) {
+  // Anytime property: stopping early returns exactly the fixed-k estimator
+  // at k = k_used, same seed.
+  auto model = SmallDcnn(3, 21);
+  const Tensor series = RandomSeries(3, 16, 6);
+  AdaptiveDcamOptions aopt;
+  aopt.batch = 10;
+  aopt.max_k = 400;
+  aopt.tolerance = 0.25;
+  aopt.stable_batches = 2;
+  aopt.seed = 17;
+  const AdaptiveDcamResult adaptive =
+      ComputeDcamAdaptive(model.get(), series, 0, aopt);
+  ASSERT_TRUE(adaptive.converged);
+  ASSERT_LT(adaptive.k_used, aopt.max_k);
+
+  DcamOptions fopt;
+  fopt.k = adaptive.k_used;
+  fopt.seed = aopt.seed;
+  ExpectBitIdentical(adaptive.result,
+                     ComputeDcam(model.get(), series, 0, fopt));
+}
+
+TEST(AdaptiveDcamTest, SingleBatchBudgetRunsOnceWithoutChecks) {
+  // max_k == batch: one round, so no previous map and no convergence check.
+  auto model = SmallDcnn(3, 23);
+  const Tensor series = RandomSeries(3, 16, 11);
+  AdaptiveDcamOptions aopt;
+  aopt.batch = 8;
+  aopt.max_k = 8;
+  aopt.tolerance = 0.5;
+  aopt.stable_batches = 1;
+  aopt.seed = 5;
+  const AdaptiveDcamResult r = ComputeDcamAdaptive(model.get(), series, 1, aopt);
+  EXPECT_TRUE(r.deltas.empty());
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.k_used, 8);
+  DcamOptions fopt;
+  fopt.k = 8;
+  fopt.seed = 5;
+  ExpectBitIdentical(r.result, ComputeDcam(model.get(), series, 1, fopt));
 }
 
 TEST(AdaptiveDcamTest, ConvergesBeforeCeilingOnStableMap) {

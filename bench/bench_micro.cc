@@ -7,9 +7,16 @@
 // op, shape, ns/iter, threads — so successive PRs can track the perf
 // trajectory in BENCH_*.json files. All other flags are forwarded to
 // google-benchmark (e.g. --benchmark_filter=Dcam).
+//
+// Gate mode (replaces the benchmark run; exit 1 on a miss):
+//   --min-morsel-speedup X   adaptive morsels vs per-iteration claiming on
+//                            the fine-grained scatter >= X
+//   --min-engine-speedup X   DcamEngine::Compute vs ComputeDcamSerial on
+//                            the 10/256/100 dCAM shape >= X
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -424,6 +431,56 @@ int RunMorselSpeedupGate(double min_speedup) {
   return ok ? 0 : 1;
 }
 
+// ---- --min-engine-speedup gate --------------------------------------------
+
+// The engine's parallelism claim for CI: DcamEngine::Compute against
+// ComputeDcamSerial on the BM_ComputeDcamEngine/10/256/100/0 shape (same
+// model, series and seed, so both produce the same map), timed alternately
+// in one process, best of N each. Fails (exit 1) when serial / engine falls
+// below the threshold.
+int RunEngineSpeedupGate(double min_speedup) {
+  constexpr int kDims = 10, kLen = 256, kPerms = 100;
+  constexpr int kReps = 7;
+  Rng rng(3);
+  auto model = BenchDcnn(kDims, &rng);
+  Tensor series({kDims, kLen});
+  series.FillNormal(&rng, 0.0f, 1.0f);
+  core::DcamOptions opts;
+  opts.k = kPerms;
+  core::DcamEngine engine(model.get());
+
+  const auto run_serial = [&] {
+    benchmark::DoNotOptimize(
+        core::ComputeDcamSerial(model.get(), series, 0, opts).dcam.data());
+  };
+  const auto run_engine = [&] {
+    benchmark::DoNotOptimize(engine.Compute(series, 0, opts).dcam.data());
+  };
+  const auto time_ns = [](auto&& body) {
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::nano>(t1 - t0).count();
+  };
+  run_serial();  // warm up the pool, the replicas and the buffers
+  run_engine();
+  double serial_ns = 1e300, engine_ns = 1e300;
+  for (int rep = 0; rep < kReps; ++rep) {
+    serial_ns = std::min(serial_ns, time_ns(run_serial));
+    engine_ns = std::min(engine_ns, time_ns(run_engine));
+  }
+  const double speedup = serial_ns / engine_ns;
+  const bool ok = speedup >= min_speedup;
+  std::fprintf(stderr,
+               "engine-speedup gate: ComputeDcamSerial %.2f ms, DcamEngine "
+               "%.2f ms -> %.2fx (threshold %.2fx, batch=%d, threads=%d): "
+               "%s\n",
+               serial_ns * 1e-6, engine_ns * 1e-6, speedup, min_speedup,
+               engine.batch(), GlobalPool().num_threads(),
+               ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
+}
+
 // ---- --json reporter ------------------------------------------------------
 
 // Emits one record per benchmark run: op (the BM_* function), shape (the
@@ -519,12 +576,14 @@ class TeeReporter : public benchmark::BenchmarkReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Extract --json <path> (or --json=<path>) and --min-morsel-speedup <x>
-  // before google-benchmark sees the argument vector; everything else is
-  // forwarded untouched.
+  // Extract --json <path> (or --json=<path>), --min-morsel-speedup <x> and
+  // --min-engine-speedup <x> before google-benchmark sees the argument
+  // vector; everything else is forwarded untouched.
   std::string json_path;
   double min_morsel_speedup = 0.0;
   bool morsel_gate_requested = false;
+  double min_engine_speedup = 0.0;
+  bool engine_gate_requested = false;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -538,15 +597,28 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--min-morsel-speedup=", 0) == 0) {
       min_morsel_speedup = std::atof(arg.substr(21).c_str());
       morsel_gate_requested = true;
+    } else if (arg == "--min-engine-speedup" && i + 1 < argc) {
+      min_engine_speedup = std::atof(argv[++i]);
+      engine_gate_requested = true;
+    } else if (arg.rfind("--min-engine-speedup=", 0) == 0) {
+      min_engine_speedup = std::atof(arg.substr(21).c_str());
+      engine_gate_requested = true;
     } else {
       args.push_back(argv[i]);
     }
   }
-  if (morsel_gate_requested) {
-    // Gate mode replaces the benchmark run: a timed comparison whose exit
-    // code is the verdict (see RunMorselSpeedupGate).
+  if (morsel_gate_requested || engine_gate_requested) {
+    // Gate mode replaces the benchmark run: timed comparisons whose exit
+    // code is the verdict (see RunMorselSpeedupGate, RunEngineSpeedupGate).
     TuneAllocatorForRepeatedTensors();
-    return RunMorselSpeedupGate(min_morsel_speedup);
+    int status = 0;
+    if (morsel_gate_requested) {
+      status |= RunMorselSpeedupGate(min_morsel_speedup);
+    }
+    if (engine_gate_requested) {
+      status |= RunEngineSpeedupGate(min_engine_speedup);
+    }
+    return status;
   }
   // Tune up front so the serial-vs-engine comparison sees one allocator
   // configuration (the engine would otherwise enable it mid-suite).

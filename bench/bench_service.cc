@@ -3,15 +3,18 @@
 // one-request-at-a-time baseline.
 //
 // Workload: C client threads each request dCAM maps for distinct series with
-// small per-request k. A single request underfills the engine's forward
-// batch (k < batch width), so serving requests one at a time leaves the
-// thread pool starved; the service coalesces the concurrent requests into
-// shared DcamEngine::ComputeMany passes, and with --replicas N it shards the
-// model across N scheduler threads, each owning a private weight copy — the
-// coarse-grained parallelism that keeps scaling when per-forward GEMMs are
-// too small to feed every core. On a single core all engine batches adapt
-// to 1 and every phase should be near parity; the replica win needs a
-// multi-core host (the CI concurrency lane pins --min-replica-speedup).
+// small per-request k. A single request underfills the engine's flush
+// (k < batch width), so serving requests one at a time leaves workers idle;
+// the service coalesces the concurrent requests into shared
+// DcamEngine::ComputeMany passes, and with --replicas N it shards the model
+// across N scheduler threads, each owning a private weight copy. The engine
+// runs each flush's instances side by side on per-worker model replicas, so
+// one replica already keeps every worker busy: on a 4-vCPU host the 2-vs-1
+// replica ratio read 0.96-1.74x over 12 runs (median 1.14). The ratio is
+// therefore reported, not gated; the engine's own parallelism is gated by
+// bench_micro --min-engine-speedup.
+// On a single core all engine batches adapt to 1 and every phase should be
+// near parity.
 // The cache phase resubmits the same requests and must be serviced without
 // recompute.
 //
@@ -54,7 +57,6 @@
 // Gates (exit 2 on violation) — evaluated only AFTER the JSON report is
 // flushed, so the CI artifact upload always sees the measurements that
 // produced a failure:
-//   --min-replica-speedup X     coalesced/sharded >= X
 //   --min-async-speedup X       blocking/async-cq >= X
 //   --max-high-p99-ratio Y      high-priority p99 <= Y * batch-priority p99
 //   --max-first-tick-ratio Y    first-tick latency <= Y * full completion
@@ -100,7 +102,6 @@ struct Options {
   int replicas = 2;
   bool async = false;
   bool streaming = false;
-  double min_replica_speedup = 0.0;   // 0 = report only, no gate
   double min_async_speedup = 0.0;     // 0 = report only, no gate
   double max_high_p99_ratio = 0.0;    // 0 = report only, no gate
   double max_first_tick_ratio = 0.0;  // 0 = report only, no gate
@@ -290,9 +291,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-first-tick-ratio") {
       opt.max_first_tick_ratio = ParseDoubleFlag(next("--max-first-tick-ratio"),
                                                  "--max-first-tick-ratio");
-    } else if (arg == "--min-replica-speedup") {
-      opt.min_replica_speedup = ParseDoubleFlag(
-          next("--min-replica-speedup"), "--min-replica-speedup");
     } else if (arg == "--min-async-speedup") {
       opt.min_async_speedup =
           ParseDoubleFlag(next("--min-async-speedup"), "--min-async-speedup");
@@ -303,13 +301,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: bench_service [--clients N] [--requests M] [--k K] "
                    "[--dims D] [--len n] [--replicas R] [--async] "
-                   "[--streaming] [--min-replica-speedup X] "
+                   "[--streaming] "
                    "[--min-async-speedup X] [--max-high-p99-ratio Y] "
                    "[--max-first-tick-ratio Y] [--cache-dir dir] "
                    "[--json path]\n"
-                   "--min-replica-speedup gates sharded-vs-1-replica scaling, "
-                   "--min-async-speedup gates async-vs-blocking throughput; "
-                   "both only meaningful on a multi-core host. "
+                   "--min-async-speedup gates async-vs-blocking throughput, "
+                   "only meaningful on a multi-core host. "
                    "--max-high-p99-ratio gates high-vs-batch priority p99 "
                    "latency under the --async overload phase; "
                    "--max-first-tick-ratio gates first-tick-vs-completion "
@@ -687,15 +684,6 @@ int main(int argc, char** argv) {
                  "with %llu engine passes — the restarted service must answer "
                  "the whole workload from the persistent tier\n",
                  warm_tier2_hits, warm_engine_passes);
-    exit_code = 2;
-  }
-  if (opt.min_replica_speedup > 0 &&
-      replica_speedup < opt.min_replica_speedup) {
-    std::fprintf(stderr,
-                 "bench_service: FAIL replica scaling %.2fx < required %.2fx "
-                 "(%d replicas, %d pool threads)\n",
-                 replica_speedup, opt.min_replica_speedup, opt.replicas,
-                 GlobalPool().num_threads());
     exit_code = 2;
   }
   if (opt.async && opt.min_async_speedup > 0 &&

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <utility>
 
 #include "cam/cam.h"
 #include "core/cube.h"
 #include "core/variants.h"
+#include "io/serialize.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -80,6 +83,36 @@ DcamEngine::Slot* DcamEngine::NextSlot() {
   return &pending_[static_cast<size_t>(pending_count_++)];
 }
 
+DcamEngine::Lane* DcamEngine::LaneFor(int worker) {
+  const size_t w = static_cast<size_t>(worker);
+  {
+    std::lock_guard<std::mutex> lock(lanes_mu_);
+    if (w >= lanes_.size()) lanes_.resize(w + 1);
+    if (lanes_[w] != nullptr) return lanes_[w].get();
+  }
+  // First flush on this worker id: clone here, on the worker's own thread,
+  // so the replica's weights and activations come from that thread's malloc
+  // arena for the engine's lifetime. Within a sweep a worker id belongs to
+  // one thread, so nobody else can be creating the same lane.
+  auto lane = std::make_unique<Lane>();
+  lane->replica = model_->Clone();
+  lane->model = dynamic_cast<models::GapModel*>(lane->replica.get());
+  DCAM_CHECK(lane->model != nullptr)
+      << model_->name() << " cloned into a model without a GAP head";
+  std::lock_guard<std::mutex> lock(lanes_mu_);
+  lanes_[w] = std::move(lane);
+  return lanes_[w].get();
+}
+
+void DcamEngine::RefreshLanes() {
+  std::lock_guard<std::mutex> lock(lanes_mu_);
+  for (const std::unique_ptr<Lane>& lane : lanes_) {
+    if (lane == nullptr) continue;
+    const io::Status status = io::CopyModelWeights(model_, lane->replica.get());
+    DCAM_CHECK(status.ok()) << "replica refresh failed: " << status.message();
+  }
+}
+
 void DcamEngine::Flush() {
   if (pending_count_ == 0) return;
   const int64_t B = pending_count_;
@@ -87,39 +120,40 @@ void DcamEngine::Flush() {
   const int64_t n = pending_[0].series->dim(1);
   CheckCubeModel(D, n);
 
-  // 1. Permuted cubes, written straight into the persistent input tensor.
+  // 1. One morsel per slot: its permuted cube goes straight into row b of
+  // the persistent input tensor, a (1, D, D, n) view of that row runs
+  // through the executing worker's replica (whose nested layer calls are
+  // serial), and the slot's vote and CAM land in the slot and in row b of
+  // the CAM scratch.
   Tensor* cube = ScratchCube(B, D, n);
+  Tensor* cam = ScratchCam(B, D, n);
   Slot* slot_data = pending_.data();
-  ParallelFor(0, B, [&](int64_t b) {
-    BuildCubeInto(*slot_data[b].series, slot_data[b].perm, cube, b);
+  ParallelMorsel(0, B, /*grain=*/1, [&](int worker, int64_t lo, int64_t hi) {
+    Lane* lane = LaneFor(worker);
+    for (int64_t b = lo; b < hi; ++b) {
+      Slot& slot = slot_data[b];
+      BuildCubeInto(*slot.series, slot.perm, cube, b);
+      const Tensor logits =
+          lane->model->Forward(cube->Row(b), /*training=*/false);
+      slot.correct = RowArgmax(logits, 0) == slot.class_idx;
+      Tensor cam_row = cam->Row(b);
+      cam::CamFromActivationInto(lane->model->last_activation(),
+                                 lane->model->head(), slot.class_idx,
+                                 &cam_row);
+    }
   });
 
-  // 2. One forward for the whole batch, then n_g votes from the logits.
-  const Tensor logits = model_->Forward(*cube, /*training=*/false);
+  // 2. n_g votes and inverse permutations for the gather-form scatter.
   for (int64_t b = 0; b < B; ++b) {
-    if (RowArgmax(logits, b) == slot_data[b].class_idx) {
-      ++*slot_data[b].num_correct;
+    Slot& slot = slot_data[b];
+    if (slot.correct) ++*slot.num_correct;
+    slot.inverse.resize(slot.perm.size());
+    for (size_t q = 0; q < slot.perm.size(); ++q) {
+      slot.inverse[static_cast<size_t>(slot.perm[q])] = static_cast<int>(q);
     }
   }
 
-  // 3. Per-instance CAMs over the cube rows, into persistent scratch.
-  slot_classes_.resize(static_cast<size_t>(B));
-  for (int64_t b = 0; b < B; ++b) {
-    slot_classes_[static_cast<size_t>(b)] = slot_data[b].class_idx;
-  }
-  Tensor* cam = ScratchCam(B, D, n);
-  cam::CamFromActivationInto(model_->last_activation(), model_->head(),
-                             slot_classes_, cam);
-
-  // 4. Inverse permutations for the gather-form scatter.
-  for (int64_t b = 0; b < B; ++b) {
-    const std::vector<int>& perm = slot_data[b].perm;
-    std::vector<int>& inv = slot_data[b].inverse;
-    inv.resize(perm.size());
-    for (size_t q = 0; q < perm.size(); ++q) inv[perm[q]] = static_cast<int>(q);
-  }
-
-  // 5. M-transformation scatter (Definition 2). Slots are grouped by their
+  // 3. M-transformation scatter (Definition 2). Slots are grouped by their
   // target accumulator (consecutive in the stream); each (group, dimension)
   // pair is an independent item of the morsel range, so every msum cell has
   // exactly one writer and slot order — hence float addition order — matches
@@ -194,6 +228,8 @@ std::vector<DcamResult> DcamEngine::ComputeMany(
   DCAM_CHECK_EQ(pending_count_, 0) << "ComputeMany may not be re-entered";
   std::vector<DcamResult> results(N);
   if (N == 0) return results;
+  // The replicas serve the model's weights as they are at this call.
+  RefreshLanes();
 
   for (size_t i = 0; i < N; ++i) {
     DCAM_CHECK_EQ(series[i].rank(), 2)

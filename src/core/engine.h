@@ -4,15 +4,21 @@
 // per explained series: k forwards of a (D, D, n) cube through a trained
 // d-architecture model. ComputeDcamSerial runs them one at a time and
 // re-allocates the permuted series, the C(S) cube, and the CAM buffer on
-// every iteration, even though the whole nn stack is batch-aware and
-// thread-pooled.
+// every iteration.
 //
-// DcamEngine amortizes the repeated evaluation:
-//   * permutations are packed into batches of `Config::batch` instances and
-//     written directly into one persistent (B, D, D, n) input tensor
-//     (BuildCubeInto — no ApplyPermutation / PrepareInput intermediates);
-//   * one model forward evaluates the whole batch;
-//   * per-instance CAMs land in a persistent (B, D, n) scratch
+// DcamEngine amortizes the repeated evaluation and spreads it over the
+// worker pool:
+//   * permutations are packed into flushes of up to `Config::batch`
+//     instances, whose cubes are written directly into one persistent
+//     (B, D, D, n) input tensor (BuildCubeInto — no ApplyPermutation /
+//     PrepareInput intermediates);
+//   * a flush is one morsel sweep with one morsel per instance: each
+//     instance's whole forward runs on the executing worker, on a model
+//     replica the engine keeps for that worker id (a lane), over a
+//     (1, D, D, n) row view of the input tensor. The layers' own nested
+//     parallel calls then run serially, so a flush costs two pool dispatches
+//     (this sweep and the scatter) rather than several per layer;
+//   * per-instance CAMs land in rows of a persistent (B, D, n) scratch
 //     (CamFromActivationInto);
 //   * the M-transformation scatter (Definition 2) is driven by a morsel
 //     sweep over target dimensions, via the inverse permutation, so every
@@ -21,15 +27,26 @@
 // live on the engine — nothing is re-allocated across series either, which
 // is what the dataset-level (global) explanation path exploits.
 //
+// Lanes: a replica is created by Model::Clone on the first flush its worker
+// id runs, on that worker's thread, and keyed by the id (stable per thread),
+// so each replica's tensors always come from one thread's malloc arena
+// (replicas that moved between threads grew the heap). Every ComputeMany
+// entry refreshes the replicas from the model (io::CopyModelWeights), so a
+// call sees the model's weights and BatchNorm statistics as they are at the
+// call; the engine's own model only serves PrepareInput's shape probe, the
+// weights and the class count. With a one-thread pool the caller runs every
+// morsel itself, one lane, as a serial loop would.
+//
 // ComputeMany is the one k-loop: draw a permutation, flush a batch,
 // finalize a request. Compute, ExplainDataset, the explain service's
 // coalesced and streaming groups, and the adaptive-k variant (a tick
 // callback with a stopping rule, see variants.h) all run on it.
 //
 // Determinism contract: at a fixed seed the engine is bit-identical to
-// ComputeDcamSerial for every batch size (same mbar, same dcam, same n_g).
-// Per-instance model outputs do not depend on the batch they ride in (each
-// (instance, channel) plane is computed independently), the CAM is
+// ComputeDcamSerial for every batch size and pool width (same mbar, same
+// dcam, same n_g). An instance's model output does not depend on the flush
+// it rides in nor on which of the bit-identical replicas runs it (each
+// forward is a single-instance forward of the same weights), the CAM is
 // per-instance, and the scatter performs the same single float add per
 // (d, p, t) cell per permutation, in permutation order.
 
@@ -38,6 +55,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/dcam.h"
@@ -94,20 +113,23 @@ struct DcamTickConfig {
 class DcamEngine {
  public:
   struct Config {
-    /// Permutations evaluated per model forward. 0 (the default) adapts to
-    /// the configured worker set: the global pool's width — which follows
-    /// DCAM_CPU_SET when a core set is pinned, hardware concurrency
-    /// otherwise — clamped to [1, 16]. Wider batches feed every worker of
-    /// the pool in one forward; on a single core a batch of 1 is fastest
-    /// (larger batches stream the layer activations through the cache with
-    /// no parallelism to pay for it), and a 4-core-pinned service must not
-    /// inherit a 64-wide batch from a 64-core host.
+    /// Permutations evaluated per flush, that is, the most instance
+    /// forwards one flush runs side by side (one per worker, each on its
+    /// worker's replica). 0 (the default) adapts to the configured worker
+    /// set: the global pool's width — which follows DCAM_CPU_SET when a core
+    /// set is pinned, hardware concurrency otherwise — clamped to [1, 16],
+    /// so every worker gets one instance per flush. On a single core this
+    /// is 1 and the flush runs inline on the caller; a 4-core-pinned
+    /// service must not inherit a 64-wide batch (and 64 replicas) from a
+    /// 64-core host.
     int batch = 0;
   };
 
   /// The engine keeps a non-owning pointer to `model`, which must be a
-  /// cube-input (d-architecture) GapModel and outlive the engine. Verified
-  /// on first use via PrepareInput's output shape.
+  /// cube-input (d-architecture) GapModel that supports Model::Clone and
+  /// outlives the engine. Verified on first use via PrepareInput's output
+  /// shape. The model must not be modified during a ComputeMany call; a
+  /// change between calls is picked up by the next call.
   explicit DcamEngine(models::GapModel* model);
   DcamEngine(models::GapModel* model, Config config);
 
@@ -169,6 +191,7 @@ class DcamEngine {
     std::vector<int> perm;
     std::vector<int> inverse;  // filled by Flush for the gather-form scatter
     int class_idx = 0;
+    bool correct = false;      // this slot's n_g vote, set by its morsel
     Tensor* msum = nullptr;    // (D, D, n) accumulator this slot scatters into
     int* num_correct = nullptr;  // n_g counter this slot votes into
   };
@@ -182,6 +205,19 @@ class DcamEngine {
   // The next free slot of the pool; Flush when the pool holds a full batch.
   Slot* NextSlot();
 
+  // One worker id's model replica.
+  struct Lane {
+    std::unique_ptr<models::Model> replica;
+    models::GapModel* model = nullptr;  // replica, as a GapModel
+  };
+
+  // The lane of worker id `worker`, created (by Model::Clone on the calling
+  // thread) on first use.
+  Lane* LaneFor(int worker);
+
+  // Copies the model's current weights and buffers into every lane.
+  void RefreshLanes();
+
   // Evaluates and scatters the pending slots (which share one (D, n)
   // shape), then marks the pool empty.
   void Flush();
@@ -193,16 +229,21 @@ class DcamEngine {
   bool checked_cube_input_ = false;
 
   // Persistent scratch. The cube/CAM batches deliberately keep ordinary
-  // Tensor storage rather than arena storage: the model's layers cache a
-  // shared-storage copy of their input, so the cube must stay valid under
-  // shared ownership that can outlive a flush. Warmth comes from reuse (the
-  // same buffers serve every flush) plus morsel affinity keeping the same
-  // workers — and, when pinned, cores — on the same slices.
+  // Tensor storage rather than arena storage: a replica's layers cache a
+  // shared-storage copy of their input (a row view that co-owns the whole
+  // cube), so the cube must stay valid under shared ownership that can
+  // outlive a flush. Warmth comes from reuse: the same buffers serve every
+  // flush.
   Tensor cube_full_, cam_full_;  // batch == config_.batch
   Tensor cube_tail_, cam_tail_;  // most recent partial batch
   std::vector<Slot> pending_;    // slot pool; first pending_count_ are live
   int pending_count_ = 0;
-  std::vector<int> slot_classes_;  // scratch per-slot target class
+
+  // Lanes indexed by worker id. The mutex guards the vector; a Lane itself
+  // is only touched by its worker inside a sweep and by the calling thread
+  // between sweeps.
+  std::mutex lanes_mu_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
 
   // Per-flush scatter grouping (slot ranges sharing one accumulator); a
   // member so the steady-state flush loop allocates nothing.

@@ -149,6 +149,20 @@ Tensor Tensor::Reshape(Shape new_shape) const {
   return out;
 }
 
+Tensor Tensor::Row(int64_t i) const {
+  DCAM_CHECK_GE(rank(), 1);
+  DCAM_CHECK_GE(i, 0);
+  DCAM_CHECK_LT(i, shape_[0]);
+  Tensor out;
+  out.shape_ = shape_;
+  out.shape_[0] = 1;
+  out.size_ = size_ / shape_[0];
+  // Aliasing constructor: shares ownership of the parent's buffer while
+  // pointing at the row's first element.
+  out.data_ = std::shared_ptr<float[]>(data_, data_.get() + i * out.size_);
+  return out;
+}
+
 double Tensor::Sum() const {
   double s = 0.0;
   for (int64_t i = 0; i < size_; ++i) s += data_.get()[i];

@@ -103,6 +103,11 @@ class Tensor {
   /// element count.
   Tensor Reshape(Shape new_shape) const;
 
+  /// Returns a view of outermost row `i` as a (1, dims...) tensor sharing
+  /// this tensor's storage. The view co-owns the whole buffer, so it keeps
+  /// the parent's storage alive on its own.
+  Tensor Row(int64_t i) const;
+
   /// Sum of all elements (double accumulator).
   double Sum() const;
 

@@ -73,7 +73,9 @@ RateCurve::RateCurve(std::vector<std::pair<double, double>> points)
     DCAM_CHECK_GE(points_[i].first, 0.0);
     DCAM_CHECK_LE(points_[i].first, 1.0);
     DCAM_CHECK_GE(points_[i].second, 0.0);
-    if (i > 0) DCAM_CHECK_GE(points_[i].first, points_[i - 1].first);
+    if (i > 0) {
+      DCAM_CHECK_GE(points_[i].first, points_[i - 1].first);
+    }
   }
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "cam/cam.h"
 #include "core/cube.h"
@@ -165,6 +167,83 @@ TEST(DcamEngineTest, ScratchSurvivesRepeatedUse) {
   const DcamResult first = engine.Compute(series, 1, opts);
   const DcamResult second = engine.Compute(series, 1, opts);
   ExpectBitIdentical(first, second);
+}
+
+TEST(DcamEngineTest, SeesModelChangesBetweenCalls) {
+  // The engine forwards on per-worker replicas of the model. A weight or
+  // BatchNorm statistic changed in place between two calls must reach them:
+  // the second call explains the model as it is then.
+  Rng rng(19);
+  const int D = 4, n = 12;
+  auto model = TinyDcnn(D, &rng);
+  Tensor series({D, n});
+  series.FillNormal(&rng, 0.0f, 1.0f);
+  DcamOptions opts;
+  opts.k = 10;
+  DcamEngine engine(model.get());
+  const DcamResult before = engine.Compute(series, 1, opts);
+
+  nn::Parameter* conv_weight = model->Params().front();
+  ASSERT_EQ(conv_weight->value.rank(), 4) << conv_weight->name;
+  for (int64_t i = 0; i < conv_weight->value.size(); i += 3) {
+    conv_weight->value[i] *= -1.5f;
+  }
+  bool perturbed_bn = false;
+  for (auto& [name, buffer] : model->Buffers()) {
+    if (name.find("running_mean") == std::string::npos) continue;
+    for (int64_t i = 0; i < buffer->size(); ++i) (*buffer)[i] += 0.75f;
+    perturbed_bn = true;
+  }
+  ASSERT_TRUE(perturbed_bn);
+
+  const DcamResult after = engine.Compute(series, 1, opts);
+  const DcamResult serial = ComputeDcamSerial(model.get(), series, 1, opts);
+  ExpectBitIdentical(serial, after);
+  bool changed = false;
+  for (int64_t i = 0; i < before.mbar.size() && !changed; ++i) {
+    changed = before.mbar[i] != after.mbar[i];
+  }
+  EXPECT_TRUE(changed) << "the perturbation did not change the explanation";
+}
+
+TEST(DcamEngineTest, ConcurrentEnginesOnClonesMatchSerial) {
+  // Two engines over two clones of one model, driven from two threads at
+  // once, share the worker pool: their sweeps interleave on the same
+  // workers, each on its own engine's replicas.
+  Rng rng(20);
+  const int D = 5, n = 16;
+  auto model = TinyDcnn(D, &rng);
+  std::unique_ptr<models::Model> clone_a = model->Clone();
+  std::unique_ptr<models::Model> clone_b = model->Clone();
+  std::vector<Tensor> series;
+  for (int i = 0; i < 2; ++i) {
+    series.emplace_back(Shape{D, n});
+    series.back().FillNormal(&rng, 0.0f, 1.0f);
+  }
+  DcamOptions opts;
+  opts.k = 23;
+  opts.seed = 77;
+  std::vector<DcamResult> serial;
+  for (int i = 0; i < 2; ++i) {
+    serial.push_back(ComputeDcamSerial(model.get(), series[i], i, opts));
+  }
+
+  std::vector<DcamResult> got(2);
+  const auto run = [&](models::Model* clone, int i) {
+    DcamEngine engine(dynamic_cast<models::GapModel*>(clone));
+    for (int round = 0; round < 3; ++round) {
+      got[static_cast<size_t>(i)] = engine.Compute(series[i], i, opts);
+    }
+  };
+  std::thread a(run, clone_a.get(), 0);
+  std::thread b(run, clone_b.get(), 1);
+  a.join();
+  b.join();
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE("engine " + std::to_string(i));
+    ExpectBitIdentical(serial[static_cast<size_t>(i)],
+                       got[static_cast<size_t>(i)]);
+  }
 }
 
 TEST(DcamEngineTest, KeepMbarFalseReleasesAccumulatorOnly) {

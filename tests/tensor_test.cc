@@ -87,6 +87,32 @@ TEST(TensorTest, ReshapeSharesStorage) {
   EXPECT_EQ(r.dim(0), 3);
 }
 
+TEST(TensorTest, RowViewSharesStorage) {
+  Tensor t({3, 2, 4});
+  for (int64_t i = 0; i < t.size(); ++i) t[i] = static_cast<float>(i);
+  Tensor row = t.Row(1);
+  EXPECT_EQ(row.shape(), (Shape{1, 2, 4}));
+  EXPECT_EQ(row.size(), 8);
+  EXPECT_EQ(row.data(), t.data() + 8);
+  row.at(0, 1, 3) = -1.0f;
+  EXPECT_EQ(t.at(1, 1, 3), -1.0f);
+  EXPECT_DEATH(t.Row(3), "DCAM_CHECK failed");
+}
+
+TEST(TensorTest, RowViewKeepsParentAlive) {
+  Tensor row;
+  {
+    Tensor t({2, 5});
+    for (int64_t i = 0; i < t.size(); ++i) t[i] = static_cast<float>(i);
+    row = t.Row(1);
+  }
+  // The parent handle is gone; the view alone owns the buffer now (a freed
+  // buffer would be a use-after-free under the sanitizer lanes).
+  for (int64_t i = 0; i < row.size(); ++i) {
+    EXPECT_EQ(row[i], static_cast<float>(5 + i));
+  }
+}
+
 TEST(TensorTest, ReshapeWrongCountAborts) {
   Tensor t({2, 6});
   EXPECT_DEATH(t.Reshape({5}), "DCAM_CHECK failed");

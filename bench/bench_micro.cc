@@ -610,7 +610,6 @@ int main(int argc, char** argv) {
   if (morsel_gate_requested || engine_gate_requested) {
     // Gate mode replaces the benchmark run: timed comparisons whose exit
     // code is the verdict (see RunMorselSpeedupGate, RunEngineSpeedupGate).
-    TuneAllocatorForRepeatedTensors();
     int status = 0;
     if (morsel_gate_requested) {
       status |= RunMorselSpeedupGate(min_morsel_speedup);
@@ -620,9 +619,6 @@ int main(int argc, char** argv) {
     }
     return status;
   }
-  // Tune up front so the serial-vs-engine comparison sees one allocator
-  // configuration (the engine would otherwise enable it mid-suite).
-  TuneAllocatorForRepeatedTensors();
   int args_count = static_cast<int>(args.size());
   benchmark::Initialize(&args_count, args.data());
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/parallel.h"
-
 namespace dcam {
 namespace cam {
 
@@ -16,42 +14,32 @@ Tensor CamFromActivation(const Tensor& activation, const nn::Dense& head,
 }
 
 void CamFromActivationInto(const Tensor& activation, const nn::Dense& head,
-                           const std::vector<int>& class_idx, Tensor* out) {
+                           int class_idx, Tensor* out) {
   DCAM_CHECK_EQ(activation.rank(), 4);
   const int64_t B = activation.dim(0), nf = activation.dim(1),
                 H = activation.dim(2), W = activation.dim(3);
   DCAM_CHECK_EQ(head.in_features(), nf);
-  DCAM_CHECK_EQ(static_cast<int64_t>(class_idx.size()), B);
+  DCAM_CHECK_GE(class_idx, 0);
+  DCAM_CHECK_LT(class_idx, head.out_features());
   DCAM_CHECK(out != nullptr);
   DCAM_CHECK(out->shape() == (Shape{B, H, W}))
       << "out must be (B, H, W), got " << ShapeToString(out->shape());
-  const Tensor& w = head.weight().value;  // (classes, nf)
-  for (int c : class_idx) {
-    DCAM_CHECK_GE(c, 0);
-    DCAM_CHECK_LT(c, head.out_features());
-  }
+  // The class's weight row of the (classes, nf) head.
+  const float* w = head.weight().value.data() + class_idx * nf;
 
   const int64_t plane = H * W;
   float* out_data = out->data();
   const float* act = activation.data();
-  ParallelFor(0, B, [&](int64_t b) {
+  for (int64_t b = 0; b < B; ++b) {
     float* dst = out_data + b * plane;
     std::fill(dst, dst + plane, 0.0f);
     for (int64_t m = 0; m < nf; ++m) {
-      const float wm = w.at(class_idx[static_cast<size_t>(b)], m);
+      const float wm = w[m];
       if (wm == 0.0f) continue;
       const float* src = act + (b * nf + m) * plane;
       for (int64_t i = 0; i < plane; ++i) dst[i] += wm * src[i];
     }
-  });
-}
-
-void CamFromActivationInto(const Tensor& activation, const nn::Dense& head,
-                           int class_idx, Tensor* out) {
-  DCAM_CHECK_EQ(activation.rank(), 4);
-  const std::vector<int> classes(static_cast<size_t>(activation.dim(0)),
-                                 class_idx);
-  CamFromActivationInto(activation, head, classes, out);
+  }
 }
 
 Tensor ComputeCam(models::GapModel* model, const Tensor& series,

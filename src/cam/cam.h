@@ -23,15 +23,9 @@ namespace cam {
 Tensor CamFromActivation(const Tensor& activation, const nn::Dense& head,
                          int class_idx);
 
-/// Batched in-place variant: computes the CAM of every instance of a whole
-/// batch in one pass into a preallocated (B, H, W) tensor, with a per-
-/// instance target class (class_idx.size() == B). Instances are independent
-/// and processed with ParallelFor; per-instance values are bit-identical to
-/// CamFromActivation.
-void CamFromActivationInto(const Tensor& activation, const nn::Dense& head,
-                           const std::vector<int>& class_idx, Tensor* out);
-
-/// Single-class overload of the batched variant.
+/// In-place variant: the CAM of `class_idx` for every instance of a batch,
+/// written into a preallocated (B, H, W) tensor; bit-identical to
+/// CamFromActivation. Serial, so the engine's lanes call it per instance.
 void CamFromActivationInto(const Tensor& activation, const nn::Dense& head,
                            int class_idx, Tensor* out);
 

@@ -76,14 +76,12 @@ struct DcamResult {
 /// Thin wrapper over core::DcamEngine (see engine.h), which evaluates the k
 /// permutations in batches; callers explaining more than one series should
 /// hold an engine directly so its scratch buffers persist across calls.
-/// Note: constructing the engine applies TuneAllocatorForRepeatedTensors()
-/// (process-global glibc malloc thresholds — see tensor.h); use
-/// ComputeDcamSerial to avoid that side effect.
 DcamResult ComputeDcam(models::GapModel* model, const Tensor& series,
                        int class_idx, const DcamOptions& options = {});
 
 /// Reference implementation: evaluates the k permutations strictly serially,
-/// one batch-1 forward at a time. Kept as the ground truth the batched
+/// one batch-1 forward at a time, on the layers' own Forward (not the fused
+/// GapModel::Infer the engine runs). Kept as the ground truth the batched
 /// engine is tested (and benchmarked) against; produces bit-identical
 /// results to ComputeDcam at the same seed.
 DcamResult ComputeDcamSerial(models::GapModel* model, const Tensor& series,

@@ -48,9 +48,6 @@ DcamEngine::DcamEngine(models::GapModel* model, Config config)
     // no parallelism to pay for it).
     config_.batch = std::min(16, std::max(1, GlobalPool().num_threads()));
   }
-  // The engine's whole point is repeated same-shaped forwards; without this
-  // glibc re-mmaps (and re-faults) every large activation tensor.
-  TuneAllocatorForRepeatedTensors();
 }
 
 void DcamEngine::CheckCubeModel(int64_t dims, int64_t len) {
@@ -122,9 +119,10 @@ void DcamEngine::Flush() {
 
   // 1. One morsel per slot: its permuted cube goes straight into row b of
   // the persistent input tensor, a (1, D, D, n) view of that row runs
-  // through the executing worker's replica (whose nested layer calls are
-  // serial), and the slot's vote and CAM land in the slot and in row b of
-  // the CAM scratch.
+  // through the executing worker's replica (forward-only Infer, whose
+  // nested layer calls are serial and whose activations live in the
+  // replica's planned buffers), and the slot's vote and CAM land in the
+  // slot and in row b of the CAM scratch.
   Tensor* cube = ScratchCube(B, D, n);
   Tensor* cam = ScratchCam(B, D, n);
   Slot* slot_data = pending_.data();
@@ -133,8 +131,7 @@ void DcamEngine::Flush() {
     for (int64_t b = lo; b < hi; ++b) {
       Slot& slot = slot_data[b];
       BuildCubeInto(*slot.series, slot.perm, cube, b);
-      const Tensor logits =
-          lane->model->Forward(cube->Row(b), /*training=*/false);
+      const Tensor logits = lane->model->Infer(cube->Row(b));
       slot.correct = RowArgmax(logits, 0) == slot.class_idx;
       Tensor cam_row = cam->Row(b);
       cam::CamFromActivationInto(lane->model->last_activation(),

@@ -17,7 +17,12 @@
 //     replica the engine keeps for that worker id (a lane), over a
 //     (1, D, D, n) row view of the input tensor. The layers' own nested
 //     parallel calls then run serially, so a flush costs two pool dispatches
-//     (this sweep and the scatter) rather than several per layer;
+//     (this sweep and the scatter) rather than several per layer. Lanes run
+//     GapModel::Infer, the forward-only path: for the CNN family each
+//     Conv2d -> BatchNorm -> ReLU block is one GEMM plus one in-place pass
+//     over activation buffers the replica plans once per input shape, so a
+//     steady-state flush allocates no activations
+//     (tests/engine_memory_test.cc);
 //   * per-instance CAMs land in rows of a persistent (B, D, n) scratch
 //     (CamFromActivationInto);
 //   * the M-transformation scatter (Definition 2) is driven by a morsel
@@ -46,7 +51,8 @@
 // ComputeDcamSerial for every batch size and pool width (same mbar, same
 // dcam, same n_g). An instance's model output does not depend on the flush
 // it rides in nor on which of the bit-identical replicas runs it (each
-// forward is a single-instance forward of the same weights), the CAM is
+// forward is a single-instance forward of the same weights, and Infer is
+// bit-identical to the Forward the serial path runs), the CAM is
 // per-instance, and the scatter performs the same single float add per
 // (d, p, t) cell per permutation, in permutation order.
 

@@ -56,6 +56,12 @@ Tensor ConvNet::Forward(const Tensor& input, bool training) {
   return dense_->Forward(pooled, training);
 }
 
+Tensor ConvNet::Infer(const Tensor& input) {
+  activation_ = body_.Infer(input);
+  Tensor pooled = gap_.Forward(activation_, /*training=*/false);
+  return dense_->Forward(pooled, /*training=*/false);
+}
+
 Tensor ConvNet::Backward(const Tensor& grad_logits) {
   Tensor g = dense_->Backward(grad_logits);
   g = gap_.Backward(g);

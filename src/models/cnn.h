@@ -41,6 +41,9 @@ class ConvNet : public GapModel {
   int num_classes() const override { return num_classes_; }
   Tensor PrepareInput(const Tensor& batch) const override;
   Tensor Forward(const Tensor& input, bool training) override;
+  /// Fused forward-only path (nn::Sequential::Infer): no backward caches,
+  /// and last_activation() views a buffer the next Infer overwrites.
+  Tensor Infer(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_logits) override;
   std::vector<nn::Parameter*> Params() override;
   std::vector<std::pair<std::string, Tensor*>> Buffers() override;

@@ -88,8 +88,22 @@ class Model {
 /// (Section 2.2). Exposes the last conv activation and the dense head.
 class GapModel : public Model {
  public:
+  /// Forward-only evaluation: the logits of Forward(input, false), bit for
+  /// bit, for inference loops that never run Backward (the dCAM engine's
+  /// lanes). Contract:
+  ///   * no Backward may follow an Infer — a model with a fused Infer keeps
+  ///     no backward caches and CHECK-fails; run Forward first;
+  ///   * last_activation() is valid until the next Forward or Infer, which
+  ///     may overwrite it in place.
+  /// The default runs Forward(input, false); the CNN family overrides it
+  /// with fused Conv2d -> BatchNorm -> ReLU blocks over buffers planned per
+  /// input shape, so repeated calls at one shape allocate no activations.
+  virtual Tensor Infer(const Tensor& input) {
+    return Forward(input, /*training=*/false);
+  }
+
   /// Activation A of the last convolutional block from the most recent
-  /// Forward, shape (B, nf, H, W).
+  /// Forward or Infer, shape (B, nf, H, W).
   virtual const Tensor& last_activation() const = 0;
 
   /// The dense layer mapping GAP output to class logits.

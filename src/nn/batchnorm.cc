@@ -71,7 +71,7 @@ Tensor BatchNorm::Forward(const Tensor& input, bool training) {
       mean = running_mean_[c];
       var = running_var_[c];
     }
-    const float invstd = static_cast<float>(1.0 / std::sqrt(var + eps_));
+    const float invstd = InvStd(var);
     cached_invstd_[c] = invstd;
     const float g = gamma_.value[c], bt = beta_.value[c];
     const float m = static_cast<float>(mean);
@@ -87,6 +87,31 @@ Tensor BatchNorm::Forward(const Tensor& input, bool training) {
     }
   }
   return out;
+}
+
+float BatchNorm::InvStd(double var) const {
+  return static_cast<float>(1.0 / std::sqrt(var + eps_));
+}
+
+void BatchNorm::InferReluInPlace(Tensor* x) const {
+  DCAM_CHECK(x != nullptr);
+  const Dims d = SplitDims(*x, num_features_);
+  float* data = x->data();
+  for (int64_t c = 0; c < d.channels; ++c) {
+    // Forward's running-statistics constants and per-element ops, then
+    // ReLU::Forward's select, on the value while it is still in a register.
+    const float invstd = InvStd(running_var_[c]);
+    const float g = gamma_.value[c], bt = beta_.value[c];
+    const float m = running_mean_[c];
+    for (int64_t b = 0; b < d.batch; ++b) {
+      float* p = data + (b * d.channels + c) * d.spatial;
+      for (int64_t s = 0; s < d.spatial; ++s) {
+        const float xhat = (p[s] - m) * invstd;
+        const float y = g * xhat + bt;
+        p[s] = y > 0.0f ? y : 0.0f;
+      }
+    }
+  }
 }
 
 Tensor BatchNorm::Backward(const Tensor& grad_output) {

@@ -24,6 +24,12 @@ class BatchNorm : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+
+  /// Forward-only BatchNorm (running statistics) followed by ReLU, in place
+  /// over `x`, in one pass: bit-identical to ReLU::Forward applied to
+  /// Forward(x, false). Keeps no backward cache.
+  void InferReluInPlace(Tensor* x) const;
+
   std::vector<Parameter*> Params() override;
   std::vector<std::pair<std::string, Tensor*>> Buffers() override {
     return {{"running_mean", &running_mean_}, {"running_var", &running_var_}};
@@ -36,6 +42,10 @@ class BatchNorm : public Layer {
   const Tensor& running_var() const { return running_var_; }
 
  private:
+  // 1 / sqrt(var + eps), rounded to float: the one place both forwards
+  // derive a channel's scale from its variance.
+  float InvStd(double var) const;
+
   int num_features_;
   float momentum_;
   float eps_;

@@ -26,28 +26,26 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel_h, int kernel_w,
                 static_cast<int64_t>(in_channels) * kernel_h * kernel_w, rng);
 }
 
-Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
+Shape Conv2d::OutputShape(const Tensor& input) const {
   DCAM_CHECK_EQ(input.rank(), 4);
   DCAM_CHECK_EQ(input.dim(1), in_channels_);
-  const int64_t B = input.dim(0), H = input.dim(2), W = input.dim(3);
-  const int64_t Hout = H + 2 * pad_h_ - kernel_h_ + 1;
-  const int64_t Wout = W + 2 * pad_w_ - kernel_w_ + 1;
+  const int64_t Hout = input.dim(2) + 2 * pad_h_ - kernel_h_ + 1;
+  const int64_t Wout = input.dim(3) + 2 * pad_w_ - kernel_w_ + 1;
   DCAM_CHECK_GT(Hout, 0);
   DCAM_CHECK_GT(Wout, 0);
-  cached_input_ = input;
+  return {input.dim(0), out_channels_, Hout, Wout};
+}
 
+void Conv2d::Convolve(const Tensor& input, float* col, Tensor* out) const {
+  const int64_t B = input.dim(0), H = input.dim(2), W = input.dim(3);
   const int64_t Cin = in_channels_, Cout = out_channels_;
   const int64_t KH = kernel_h_, KW = kernel_w_, PH = pad_h_, PW = pad_w_;
   const int64_t CKK = Cin * KH * KW;
-  const int64_t HW = Hout * Wout;
-
-  EnsureTensorShape(&col_, {B, CKK, HW});
-  Tensor out({B, Cout, Hout, Wout});
+  const int64_t HW = out->dim(2) * out->dim(3);
   const float* in = input.data();
   const float* w = weight_.value.data();
   const float* bias = bias_.value.data();
-  float* col = col_.data();
-  float* o = out.data();
+  float* o = out->data();
   // One pass over the batch lowers each instance and, with a bias, fills its
   // output planes for the GEMM to accumulate onto.
   ParallelMorsel(0, B, 1, [&](int /*worker*/, int64_t lo, int64_t hi) {
@@ -69,6 +67,24 @@ Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
   gemm::SgemmStridedBatched(false, false, B, Cout, HW, CKK, 1.0f, w, CKK, col,
                             HW, CKK * HW, use_bias_ ? 1.0f : 0.0f, o, HW,
                             Cout * HW);
+}
+
+Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
+  Tensor out(OutputShape(input));
+  cached_input_ = input;
+  const int64_t CKK = int64_t{in_channels_} * kernel_h_ * kernel_w_;
+  EnsureTensorShape(&col_, {out.dim(0), CKK, out.dim(2) * out.dim(3)});
+  Convolve(input, col_.data(), &out);
+  return out;
+}
+
+Tensor Conv2d::Infer(const Tensor& input, Tensor* col_buf,
+                     Tensor* out_buf) const {
+  Tensor out = ScratchView(out_buf, OutputShape(input));
+  const int64_t CKK = int64_t{in_channels_} * kernel_h_ * kernel_w_;
+  Tensor col =
+      ScratchView(col_buf, {out.dim(0), CKK, out.dim(2) * out.dim(3)});
+  Convolve(input, col.data(), &out);
   return out;
 }
 
@@ -127,19 +143,14 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
 }
 
 Tensor Conv2d::ForwardNaive(const Tensor& input) {
-  DCAM_CHECK_EQ(input.rank(), 4);
-  DCAM_CHECK_EQ(input.dim(1), in_channels_);
+  Tensor out(OutputShape(input));
   const int64_t B = input.dim(0), H = input.dim(2), W = input.dim(3);
-  const int64_t Hout = H + 2 * pad_h_ - kernel_h_ + 1;
-  const int64_t Wout = W + 2 * pad_w_ - kernel_w_ + 1;
-  DCAM_CHECK_GT(Hout, 0);
-  DCAM_CHECK_GT(Wout, 0);
+  const int64_t Hout = out.dim(2), Wout = out.dim(3);
   cached_input_ = input;
   // Invalidate the im2col scratch so a (mismatched) GEMM Backward after a
   // naive forward fails its shape check instead of reusing stale columns.
   col_ = Tensor();
 
-  Tensor out({B, out_channels_, Hout, Wout});
   const float* w = weight_.value.data();
   const float* bias = bias_.value.data();
   const float* in = input.data();

@@ -34,6 +34,12 @@ class Conv2d : public Layer {
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
 
+  /// Forward-only: the output of Forward(input, false), bit for bit, written
+  /// into a view of the grow-only scratch `out_buf` with `col_buf` as the
+  /// im2col scratch (see ScratchView). Touches no layer state, so it keeps
+  /// no backward cache and leaves Forward's own scratch alone.
+  Tensor Infer(const Tensor& input, Tensor* col_buf, Tensor* out_buf) const;
+
   /// Direct-convolution reference path, numerically equivalent to
   /// Forward/Backward up to float summation order. ForwardNaive sets the
   /// input cache BackwardNaive consumes but invalidates the im2col scratch,
@@ -50,6 +56,14 @@ class Conv2d : public Layer {
   int out_channels() const { return out_channels_; }
 
  private:
+  // (B, Cout, Hout, Wout) for a (B, Cin, H, W) input; CHECKs the input.
+  Shape OutputShape(const Tensor& input) const;
+
+  // im2col into `col` (B, Cin*KH*KW, Hout*Wout) + one batched GEMM into
+  // `out`, whose shape is OutputShape(input): the body Forward and Infer
+  // share.
+  void Convolve(const Tensor& input, float* col, Tensor* out) const;
+
   int in_channels_;
   int out_channels_;
   int kernel_h_;

@@ -1,5 +1,9 @@
 #include "nn/sequential.h"
 
+#include "nn/activation.h"
+#include "nn/batchnorm.h"
+#include "nn/conv2d.h"
+
 namespace dcam {
 namespace nn {
 
@@ -20,8 +24,36 @@ Tensor Sequential::Forward(const Tensor& input, bool training) {
   return x;
 }
 
+Tensor Sequential::Infer(const Tensor& input) {
+  DCAM_CHECK(!layers_.empty());
+  outputs_.clear();  // what Backward checks: Infer leaves nothing to reverse
+  const size_t n = layers_.size();
+  Tensor x = input;
+  int next = 0;  // the block-output buffer the next fused block writes
+  for (size_t i = 0; i < n; ++i) {
+    const auto* conv = dynamic_cast<const Conv2d*>(layers_[i].get());
+    const BatchNorm* bn =
+        conv != nullptr && i + 2 < n
+            ? dynamic_cast<const BatchNorm*>(layers_[i + 1].get())
+            : nullptr;
+    if (bn != nullptr &&
+        dynamic_cast<const ReLU*>(layers_[i + 2].get()) != nullptr) {
+      // x never views infer_act_[next]: it is the input, a fallback layer's
+      // output, or the other buffer.
+      x = conv->Infer(x, &infer_col_, &infer_act_[next]);
+      bn->InferReluInPlace(&x);
+      next ^= 1;
+      i += 2;
+    } else {
+      x = layers_[i]->Forward(x, /*training=*/false);
+    }
+  }
+  return x;
+}
+
 Tensor Sequential::Backward(const Tensor& grad_output) {
-  DCAM_CHECK_EQ(outputs_.size(), layers_.size()) << "Backward before Forward";
+  DCAM_CHECK_EQ(outputs_.size(), layers_.size())
+      << "Backward needs a preceding Forward (Infer keeps no caches)";
   output_grads_.assign(layers_.size(), Tensor());
   Tensor g = grad_output;
   for (int i = static_cast<int>(layers_.size()) - 1; i >= 0; --i) {

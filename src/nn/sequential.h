@@ -32,6 +32,20 @@ class Sequential : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+
+  /// Forward-only evaluation, bit-identical to Forward(input, false). Each
+  /// Conv2d -> BatchNorm -> ReLU run is one fused block: the convolution
+  /// writes into a planned activation buffer and BatchNorm + ReLU are
+  /// applied to it in place in one pass; any other layer runs its
+  /// Forward(x, false). Block outputs alternate between two grow-only
+  /// buffers sized by the first input of each shape, with one im2col
+  /// scratch shared by every block, so repeated calls at one shape allocate
+  /// no activations. The result may view one of those buffers: it is valid
+  /// until the next Infer. No layer caches are written and no per-layer
+  /// outputs are kept, so Backward (and layer_output) must not follow; a
+  /// fresh Forward restores them.
+  Tensor Infer(const Tensor& input);
+
   std::vector<Parameter*> Params() override;
   std::vector<std::pair<std::string, Tensor*>> Buffers() override;
   std::string name() const override { return "Sequential"; }
@@ -51,6 +65,9 @@ class Sequential : public Layer {
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Tensor> outputs_;
   std::vector<Tensor> output_grads_;
+  // Infer's plan: the im2col scratch and the two block-output buffers.
+  Tensor infer_col_;
+  Tensor infer_act_[2];
 };
 
 }  // namespace nn

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
-
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
+#include <utility>
 
 #include "util/rng.h"
 
@@ -18,23 +15,15 @@ Tensor* EnsureTensorShape(Tensor* t, const Shape& shape) {
   return t;
 }
 
-void TuneAllocatorForRepeatedTensors() {
-#if defined(__GLIBC__)
-  // glibc serves equal-sized large (>= 128 KiB) allocations via mmap/munmap
-  // forever: the dynamic threshold only rises on a strictly larger free, so
-  // a workload that repeatedly allocates same-shaped activation tensors —
-  // every batched forward — pays thousands of minor page faults per call.
-  // Keep big blocks in the arena and stop trimming the heap back under
-  // them. The thresholds trade up to ~64 MiB of retained RSS for fault-free
-  // steady state, hence an explicit call (made by DcamEngine, whose whole
-  // workload is such forwards) rather than a link-time side effect.
-  static const bool tuned = [] {
-    mallopt(M_MMAP_THRESHOLD, 64 << 20);
-    mallopt(M_TRIM_THRESHOLD, 64 << 20);
-    return true;
-  }();
-  (void)tuned;
-#endif
+Tensor ScratchView(Tensor* buf, Shape shape) {
+  DCAM_CHECK(buf != nullptr);
+  const int64_t size = NumElements(shape);
+  if (buf->size() < size) *buf = Tensor({size});
+  Tensor out;
+  out.shape_ = std::move(shape);
+  out.size_ = size;
+  out.data_ = buf->data_;
+  return out;
 }
 
 int64_t NumElements(const Shape& shape) {

@@ -26,17 +26,6 @@ using Shape = std::vector<int64_t>;
 /// Returns the number of elements of a shape (product of dims).
 int64_t NumElements(const Shape& shape);
 
-/// Idempotent allocator tuning for workloads that repeatedly allocate and
-/// free same-shaped large tensors (batched forwards): raises glibc's
-/// mmap/trim thresholds so big blocks stay in the arena instead of being
-/// re-mmapped (and re-faulted) every iteration. Process-global and
-/// irreversible; retains up to ~64 MiB of freed heap. No-op off glibc.
-/// Applied automatically by core::DcamEngine (and therefore by the
-/// ComputeDcam wrapper — memory-constrained embedders can use
-/// ComputeDcamSerial to avoid it); long-running trainers/servers may call
-/// it directly.
-void TuneAllocatorForRepeatedTensors();
-
 /// Human-readable "(a, b, c)" rendering.
 std::string ShapeToString(const Shape& shape);
 
@@ -124,6 +113,8 @@ class Tensor {
   int64_t Argmax() const;
 
  private:
+  friend Tensor ScratchView(Tensor* buf, Shape shape);
+
   Shape shape_;
   int64_t size_ = 0;
   std::shared_ptr<float[]> data_;
@@ -134,6 +125,14 @@ class Tensor {
 /// idiom shared by the batched engine and the occlusion baseline. Returns
 /// `t` for call-site convenience.
 Tensor* EnsureTensorShape(Tensor* t, const Shape& shape);
+
+/// Grow-only scratch: returns a `shape` view of the front of `*buf`, first
+/// replacing `*buf` with a fresh zero-initialized buffer when it holds fewer
+/// than NumElements(shape) floats. Unlike EnsureTensorShape, one buffer
+/// serves every shape that fits, so a chain of differently shaped
+/// activations reuses it without reallocating. The view shares `*buf`'s
+/// storage; its contents are whatever the buffer last held.
+Tensor ScratchView(Tensor* buf, Shape shape);
 
 }  // namespace dcam
 

@@ -1,3 +1,5 @@
+// Engine memory, observed through a counting allocator.
+//
 // Peak accumulator memory of the dataset-level path. ExplainDataset runs the
 // engine's k-loop without a tick callback: a request's (D, D, n) accumulator
 // is allocated at its first draw and, with keep_mbar == false, released right
@@ -5,20 +7,27 @@
 // accumulators are therefore bounded by the packing horizon (the requests one
 // forward batch can span) and not by the dataset size.
 //
+// Steady-state flushes allocate no large blocks: a lane's forward-only
+// Infer writes its activations into buffers planned at the first flush.
+//
 // Tensor storage comes from `new float[]`, so this binary replaces the global
 // array new/delete with a size-tagged malloc and counts the live arrays of
-// the accumulator's exact byte size.
+// the accumulator's exact byte size. It also replaces scalar new (vectors,
+// shared_ptr control blocks) and counts every allocation of either form,
+// split at kLargeBytes.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <iostream>
 #include <new>
 
 #include "core/engine.h"
 #include "core/global.h"
 #include "models/cnn.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace {
@@ -28,9 +37,32 @@ std::atomic<int64_t> g_live{0};
 std::atomic<int64_t> g_peak{0};
 constexpr size_t kHeader = alignof(std::max_align_t);
 
+// Every allocation (scalar or array new) while g_counting is set.
+constexpr size_t kLargeBytes = 1024;
+std::atomic<bool> g_counting{false};
+std::atomic<int64_t> g_large{0};
+std::atomic<int64_t> g_small{0};
+
+void CountAllocation(size_t bytes) {
+  if (!g_counting.load(std::memory_order_relaxed)) return;
+  (bytes >= kLargeBytes ? g_large : g_small).fetch_add(1);
+}
+
 }  // namespace
 
+void* operator new(std::size_t bytes) {
+  CountAllocation(bytes);
+  void* p = std::malloc(bytes == 0 ? 1 : bytes);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
 void* operator new[](std::size_t bytes) {
+  CountAllocation(bytes);
   void* raw = std::malloc(bytes + kHeader);
   if (raw == nullptr) throw std::bad_alloc();
   *static_cast<size_t*>(raw) = bytes;
@@ -106,6 +138,66 @@ TEST(DcamEngineMemoryTest, DatasetPassKeepsAccumulatorsBoundedByHorizon) {
   EXPECT_GE(g_peak.load(), 1);
   EXPECT_LE(g_peak.load(), engine_cfg.batch + 1);
   EXPECT_EQ(g_live.load(), 0);
+}
+
+// Allocations of one engine.Compute, split at kLargeBytes.
+struct AllocationCount {
+  int64_t large = 0;
+  int64_t small = 0;
+};
+
+AllocationCount CountCompute(DcamEngine* engine, const Tensor& series,
+                             int k) {
+  DcamOptions options;
+  options.k = k;
+  options.seed = 5;
+  g_large.store(0);
+  g_small.store(0);
+  g_counting.store(true);
+  const DcamResult r = engine->Compute(series, 0, options);
+  g_counting.store(false);
+  EXPECT_EQ(r.k, k);
+  return {g_large.load(), g_small.load()};
+}
+
+TEST(DcamEngineMemoryTest, SteadyStateFlushAllocatesNoLargeBlocks) {
+  // dCNN at width scale 8 over a (1, 8, 8, 128) cube: its smallest
+  // activation, 8 channels x 8 x 128 floats, is 32 KiB, so any activation,
+  // im2col column or backward cache allocated per flush counts as large.
+  const int D = 8, n = 128;
+  Rng rng(67);
+  models::ConvNet model(models::InputMode::kCube, D, 2,
+                        models::ConvNetConfig().Scaled(8), &rng);
+  Tensor series({D, n});
+  series.FillNormal(&rng, 0.0f, 1.0f);
+  DcamEngine::Config engine_cfg;
+  engine_cfg.batch = 4;
+  DcamEngine engine(&model, engine_cfg);
+
+  // One outer morsel: every engine call inside it runs its sweeps serially
+  // on this one thread, so a single lane serves every flush and the
+  // warm-up below is guaranteed to have created and planned it (on a pool
+  // sweep, a worker that first joins a later call would clone its lane
+  // then).
+  AllocationCount short_run, long_run;
+  ParallelMorsel(0, 1, 1, [&](int /*worker*/, int64_t, int64_t) {
+    DcamOptions warm;
+    warm.k = 8;
+    (void)engine.Compute(series, 0, warm);
+    short_run = CountCompute(&engine, series, 8);   // 2 flushes
+    long_run = CountCompute(&engine, series, 64);   // 16 flushes
+  });
+
+  // The per-request allocations (accumulator, map, result vectors) are the
+  // same in both runs and include large ones, so the hook is live...
+  EXPECT_GT(short_run.large, 0);
+  // ...and the 14 extra flushes of the long run add no large allocation.
+  EXPECT_EQ(long_run.large, short_run.large);
+  // What a flush still allocates is small: Shape vectors of the row views,
+  // the (1, C) GAP and logit tensors, their control blocks.
+  std::cout << "small allocations per steady-state flush: "
+            << static_cast<double>(long_run.small - short_run.small) / 14.0
+            << "\n";
 }
 
 }  // namespace

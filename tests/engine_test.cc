@@ -414,18 +414,21 @@ TEST(CamBatchedTest, MatchesPerInstanceCam) {
   nn::Dense head(6, 3, &rng);
   Tensor act({4, 6, 5, 9});
   act.FillNormal(&rng, 0.0f, 1.0f);
-  const std::vector<int> classes = {0, 2, 1, 2};
 
   Tensor batched({4, 5, 9});
-  cam::CamFromActivationInto(act, head, classes, &batched);
-  for (int64_t b = 0; b < 4; ++b) {
-    // Reference: single-instance CAM of instance b alone.
-    Tensor one({1, 6, 5, 9});
-    std::copy(act.data() + b * 6 * 5 * 9, act.data() + (b + 1) * 6 * 5 * 9,
-              one.data());
-    const Tensor want = cam::CamFromActivation(one, head, classes[b]);
-    for (int64_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(batched[b * 5 * 9 + i], want[i]) << "instance " << b;
+  batched.Fill(7.0f);  // stale contents must be overwritten, not added to
+  for (int cls = 0; cls < 3; ++cls) {
+    cam::CamFromActivationInto(act, head, cls, &batched);
+    for (int64_t b = 0; b < 4; ++b) {
+      // Reference: single-instance CAM of instance b alone.
+      Tensor one({1, 6, 5, 9});
+      std::copy(act.data() + b * 6 * 5 * 9, act.data() + (b + 1) * 6 * 5 * 9,
+                one.data());
+      const Tensor want = cam::CamFromActivation(one, head, cls);
+      for (int64_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(batched[b * 5 * 9 + i], want[i])
+            << "class " << cls << " instance " << b;
+      }
     }
   }
 }

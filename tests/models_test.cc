@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -182,6 +183,116 @@ TEST(ConvNetTest, EvenKernelAborts) {
   cfg.kernel = 4;
   EXPECT_DEATH(ConvNet(InputMode::kStandard, 2, 2, cfg, &rng), "odd");
 }
+
+// ---- Infer: the forward-only path ----------------------------------------
+
+// Moves every BatchNorm off its identity initialization (running mean 0,
+// var 1, gamma 1, beta 0), so the fused pass is checked on values where
+// each of its ops matters.
+void RandomizeBatchNorms(Model* model, Rng* rng) {
+  for (auto& buffer : model->Buffers()) {
+    if (buffer.first == "running_var") {
+      buffer.second->FillUniform(rng, 0.2f, 2.0f);
+    } else {
+      buffer.second->FillNormal(rng, 0.0f, 0.5f);
+    }
+  }
+  for (nn::Parameter* p : model->Params()) {
+    if (p->name == "bn.gamma") p->value.FillUniform(rng, 0.5f, 1.5f);
+    if (p->name == "bn.beta") p->value.FillNormal(rng, 0.0f, 0.5f);
+  }
+}
+
+void ExpectSameBits(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<size_t>(want.size())),
+            0);
+}
+
+class InferTest : public ::testing::TestWithParam<InputMode> {};
+
+TEST_P(InferTest, MatchesForwardBitForBit) {
+  Rng rng(31);
+  ConvNetConfig cfg;
+  cfg.filters = {4, 8, 6};
+  ConvNet model(GetParam(), kDims, 3, cfg, &rng);
+  RandomizeBatchNorms(&model, &rng);
+  // 1 -> 3 grows the planned buffers, 3 -> 1 reuses them at a smaller
+  // shape; each shape runs twice so the second Infer reads buffers the
+  // first one left behind.
+  for (int64_t B : {1, 3, 1}) {
+    Tensor batch({B, kDims, kLen});
+    batch.FillNormal(&rng, 0.0f, 1.0f);
+    const Tensor input = model.PrepareInput(batch);
+    const Tensor want = model.Forward(input, /*training=*/false);
+    const Tensor want_act = model.last_activation().Clone();
+    for (int rep = 0; rep < 2; ++rep) {
+      SCOPED_TRACE(::testing::Message() << "B=" << B << " rep " << rep);
+      ExpectSameBits(model.Infer(input), want);
+      ExpectSameBits(model.last_activation(), want_act);
+    }
+  }
+}
+
+TEST_P(InferTest, BackwardAfterInferAborts) {
+  Rng rng(32);
+  ConvNetConfig cfg;
+  cfg.filters = {4, 4};
+  ConvNet model(GetParam(), kDims, kClasses, cfg, &rng);
+  Tensor batch({2, kDims, kLen});
+  batch.FillNormal(&rng, 0.0f, 1.0f);
+  const Tensor input = model.PrepareInput(batch);
+  // A Forward first, so only Infer can have made the caches stale.
+  const Tensor logits = model.Forward(input, /*training=*/true);
+  model.Infer(input);
+  EXPECT_DEATH(model.Backward(Tensor(logits.shape(), 1.0f)),
+               "DCAM_CHECK failed");
+}
+
+TEST_P(InferTest, ForwardBackwardAfterInferMatchesFreshClone) {
+  Rng rng(33);
+  ConvNetConfig cfg;
+  cfg.filters = {4, 8};
+  ConvNet model(GetParam(), kDims, kClasses, cfg, &rng);
+  RandomizeBatchNorms(&model, &rng);
+  const std::unique_ptr<Model> fresh = model.Clone();
+
+  Tensor infer_batch({3, kDims, kLen});
+  infer_batch.FillNormal(&rng, 0.0f, 1.0f);
+  model.Infer(model.PrepareInput(infer_batch));
+
+  Tensor batch({2, kDims, kLen});
+  batch.FillNormal(&rng, 0.0f, 1.0f);
+  const Tensor input = model.PrepareInput(batch);
+  const Tensor logits = model.Forward(input, /*training=*/true);
+  ExpectSameBits(logits, fresh->Forward(input, /*training=*/true));
+  Tensor grad(logits.shape());
+  grad.FillNormal(&rng, 0.0f, 1.0f);
+  ExpectSameBits(model.Backward(grad), fresh->Backward(grad));
+
+  const std::vector<nn::Parameter*> got = model.Params();
+  const std::vector<nn::Parameter*> want = fresh->Params();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(got[i]->name);
+    ExpectSameBits(got[i]->grad, want[i]->grad);
+  }
+  const auto got_buffers = model.Buffers();
+  const auto want_buffers = fresh->Buffers();
+  ASSERT_EQ(got_buffers.size(), want_buffers.size());
+  for (size_t i = 0; i < got_buffers.size(); ++i) {
+    ExpectSameBits(*got_buffers[i].second, *want_buffers[i].second);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CnnFamily, InferTest,
+                         ::testing::Values(InputMode::kStandard,
+                                           InputMode::kSeparate,
+                                           InputMode::kCube),
+                         [](const ::testing::TestParamInfo<InputMode>& info) {
+                           return InputModeName(info.param);
+                         });
 
 TEST(ScaledConfigTest, DividesWidths) {
   ConvNetConfig cnn;

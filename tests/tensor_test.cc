@@ -113,6 +113,26 @@ TEST(TensorTest, RowViewKeepsParentAlive) {
   }
 }
 
+TEST(TensorTest, ScratchViewGrowsOnlyWhenTooSmall) {
+  Tensor buf;
+  Tensor a = ScratchView(&buf, {2, 3, 4});
+  EXPECT_EQ(a.shape(), (Shape{2, 3, 4}));
+  EXPECT_EQ(buf.size(), 24);
+  EXPECT_EQ(a.data(), buf.data());
+  a[5] = 7.0f;
+  // A shape that fits views the same storage, contents kept.
+  const float* storage = buf.data();
+  Tensor b = ScratchView(&buf, {1, 8});
+  EXPECT_EQ(b.data(), storage);
+  EXPECT_EQ(b[5], 7.0f);
+  EXPECT_EQ(buf.size(), 24);
+  // A larger one replaces the buffer; the old view keeps its own storage.
+  Tensor c = ScratchView(&buf, {5, 5});
+  EXPECT_EQ(buf.size(), 25);
+  EXPECT_EQ(c.data(), buf.data());
+  EXPECT_EQ(a[5], 7.0f);
+}
+
 TEST(TensorTest, ReshapeWrongCountAborts) {
   Tensor t({2, 6});
   EXPECT_DEATH(t.Reshape({5}), "DCAM_CHECK failed");

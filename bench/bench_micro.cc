@@ -302,8 +302,8 @@ BENCHMARK(BM_ComputeDcamSerial)
     ->Args({6, 128, 40})
     ->Unit(benchmark::kMillisecond);
 
-// The batched engine: same seed, bit-identical result, permutations packed
-// into multi-instance forwards with persistent scratch.
+// The batched engine: same seed, bit-identical result, permutations streamed
+// through the lanes' commit window with persistent scratch.
 void BM_ComputeDcamEngine(benchmark::State& state) {
   const int D = static_cast<int>(state.range(0));
   const int n = static_cast<int>(state.range(1));
@@ -314,7 +314,7 @@ void BM_ComputeDcamEngine(benchmark::State& state) {
   core::DcamOptions opts;
   opts.k = static_cast<int>(state.range(2));
   core::DcamEngine::Config cfg;
-  cfg.batch = static_cast<int>(state.range(3));  // 0 = auto (pool width)
+  cfg.batch = static_cast<int>(state.range(3));  // window; 0 = auto
   core::DcamEngine engine(model.get(), cfg);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.Compute(series, 0, opts).dcam.data());
@@ -328,9 +328,10 @@ BENCHMARK(BM_ComputeDcamEngine)
     ->Args({6, 128, 40, 0})
     ->Unit(benchmark::kMillisecond);
 
-// Dataset-level engine pass: ComputeMany packs permutation batches across
-// series, so its throughput tracks how well the morsel sweep keeps the whole
-// worker set fed across flush boundaries — the engine-scaling row.
+// Dataset-level engine pass: ComputeMany streams permutations across series
+// through one lane sweep, so its throughput tracks how well the lanes keep
+// the whole worker set fed across series boundaries — the engine-scaling
+// row.
 void BM_ComputeDcamEngineMany(benchmark::State& state) {
   const int D = static_cast<int>(state.range(0));
   const int n = static_cast<int>(state.range(1));

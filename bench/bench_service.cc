@@ -3,18 +3,18 @@
 // one-request-at-a-time baseline.
 //
 // Workload: C client threads each request dCAM maps for distinct series with
-// small per-request k. A single request underfills the engine's flush
-// (k < batch width), so serving requests one at a time leaves workers idle;
+// small per-request k. A single request underfills the engine's lanes
+// (k < commit window), so serving requests one at a time leaves workers idle;
 // the service coalesces the concurrent requests into shared
 // DcamEngine::ComputeMany passes, and with --replicas N it shards the model
 // across N scheduler threads, each owning a private weight copy. The engine
-// runs each flush's instances side by side on per-worker model replicas, so
+// runs its permutations side by side on per-worker model replicas, so
 // one replica already keeps every worker busy: on a 4-vCPU host the 2-vs-1
 // replica ratio read 0.96-1.74x over 12 runs (median 1.14). The ratio is
 // therefore reported, not gated; the engine's own parallelism is gated by
 // bench_micro --min-engine-speedup.
-// On a single core all engine batches adapt to 1 and every phase should be
-// near parity.
+// On a single core every engine slot runs inline on its caller and every
+// phase should be near parity.
 // The cache phase resubmits the same requests and must be serviced without
 // recompute.
 //

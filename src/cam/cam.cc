@@ -22,7 +22,7 @@ void CamFromActivationInto(const Tensor& activation, const nn::Dense& head,
   DCAM_CHECK_GE(class_idx, 0);
   DCAM_CHECK_LT(class_idx, head.out_features());
   DCAM_CHECK(out != nullptr);
-  DCAM_CHECK(out->shape() == (Shape{B, H, W}))
+  DCAM_CHECK(HasShape(*out, {B, H, W}))
       << "out must be (B, H, W), got " << ShapeToString(out->shape());
   // The class's weight row of the (classes, nf) head.
   const float* w = head.weight().value.data() + class_idx * nf;

@@ -6,55 +6,60 @@
 // re-allocates the permuted series, the C(S) cube, and the CAM buffer on
 // every iteration.
 //
-// DcamEngine amortizes the repeated evaluation and spreads it over the
-// worker pool:
-//   * permutations are packed into flushes of up to `Config::batch`
-//     instances, whose cubes are written directly into one persistent
-//     (B, D, D, n) input tensor (BuildCubeInto — no ApplyPermutation /
-//     PrepareInput intermediates);
-//   * a flush is one morsel sweep with one morsel per instance: each
-//     instance's whole forward runs on the executing worker, on a model
-//     replica the engine keeps for that worker id (a lane), over a
-//     (1, D, D, n) row view of the input tensor. The layers' own nested
-//     parallel calls then run serially, so a flush costs two pool dispatches
-//     (this sweep and the scatter) rather than several per layer. Lanes run
-//     GapModel::Infer, the forward-only path: for the CNN family each
-//     Conv2d -> BatchNorm -> ReLU block is one GEMM plus one in-place pass
-//     over activation buffers the replica plans once per input shape, so a
-//     steady-state flush allocates no activations
-//     (tests/engine_memory_test.cc);
-//   * per-instance CAMs land in rows of a persistent (B, D, n) scratch
-//     (CamFromActivationInto);
-//   * the M-transformation scatter (Definition 2) is driven by a morsel
-//     sweep over target dimensions, via the inverse permutation, so every
-//     (d, p, t) cell of the accumulator is owned by exactly one thread.
-// Nothing is re-allocated across the k-loop, and — because scratch buffers
-// live on the engine — nothing is re-allocated across series either, which
-// is what the dataset-level (global) explanation path exploits.
+// DcamEngine streams the k-loop through the worker pool as one pipeline per
+// ComputeMany call:
+//   * compute: the call makes one morsel sweep with one long-running lane
+//     per pool participant. A lane repeatedly claims the next *slot* (one
+//     (series, permutation) pair) in the deterministic draw order, builds
+//     its cube into a lane-owned (1, D, D, n) buffer (BuildCubeInto — no
+//     ApplyPermutation / PrepareInput intermediates), runs it through the
+//     executing worker's model replica (GapModel::Infer, the fused
+//     forward-only path, whose nested layer calls run serially inside the
+//     lane), and leaves the slot's n_g vote and CAM in a window of
+//     `Config::batch` in-flight slots. A lane runs at most one window ahead
+//     of the oldest uncommitted slot;
+//   * commit: slots are committed strictly in slot order, as soon as their
+//     prefix is complete, by whichever lane completes that prefix. A commit
+//     is the M-transformation scatter (Definition 2, via the inverse
+//     permutation) into the request's (D, D, n) accumulator, the n_g vote,
+//     and the finalize after a request's last permutation;
+//   * ticks: a commit that reaches a request's tick boundary holds that
+//     request's next slot back until the tick has run. Tick callbacks (the
+//     partial-map snapshot, the callback itself, and a cancellation's
+//     finalize) run on the thread that called ComputeMany, between its own
+//     lane's forwards; the other lanes keep computing up to the window edge
+//     meanwhile. So that a partial map is not held back by a forward, the
+//     caller starts none while every slot up to an emitting tick boundary
+//     is already in flight.
+// There is no barrier per batch or per tick round: the only fork-join is the
+// call's one sweep. Steady-state slots allocate nothing: the window's slots,
+// the lanes' cubes and each replica's activation, GAP and logit buffers are
+// reused across the k-loop, and across series too, which is what the
+// dataset-level (global) explanation path exploits
+// (tests/engine_memory_test.cc).
 //
-// Lanes: a replica is created by Model::Clone on the first flush its worker
-// id runs, on that worker's thread, and keyed by the id (stable per thread),
-// so each replica's tensors always come from one thread's malloc arena
-// (replicas that moved between threads grew the heap). Every ComputeMany
-// entry refreshes the replicas from the model (io::CopyModelWeights), so a
-// call sees the model's weights and BatchNorm statistics as they are at the
-// call; the engine's own model only serves PrepareInput's shape probe, the
-// weights and the class count. With a one-thread pool the caller runs every
-// morsel itself, one lane, as a serial loop would.
+// Lanes: a replica is created by Model::Clone on the first slot its worker
+// id claims, on that worker's thread, and keyed by the id (stable per
+// thread), so each replica's tensors always come from one thread's malloc
+// arena. Every ComputeMany entry refreshes the replicas from the model
+// (io::CopyModelWeights), so a call sees the model's weights and BatchNorm
+// statistics as they are at the call; the engine's own model only serves
+// PrepareInput's shape probe, the weights and the class count. With a
+// one-thread pool (or a call from inside another parallel region) the
+// caller's lane runs every slot itself, as a serial loop would.
 //
-// ComputeMany is the one k-loop: draw a permutation, flush a batch,
-// finalize a request. Compute, ExplainDataset, the explain service's
-// coalesced and streaming groups, and the adaptive-k variant (a tick
-// callback with a stopping rule, see variants.h) all run on it.
+// ComputeMany is the one k-loop. Compute, ExplainDataset, the explain
+// service's coalesced and streaming groups, and the adaptive-k variant (a
+// tick callback with a stopping rule, see variants.h) all run on it.
 //
 // Determinism contract: at a fixed seed the engine is bit-identical to
-// ComputeDcamSerial for every batch size and pool width (same mbar, same
-// dcam, same n_g). An instance's model output does not depend on the flush
-// it rides in nor on which of the bit-identical replicas runs it (each
-// forward is a single-instance forward of the same weights, and Infer is
-// bit-identical to the Forward the serial path runs), the CAM is
-// per-instance, and the scatter performs the same single float add per
-// (d, p, t) cell per permutation, in permutation order.
+// ComputeDcamSerial for every window, tick cadence and pool width (same
+// mbar, same dcam, same n_g). A slot's model output does not depend on the
+// lane that runs it (each forward is a single-instance forward of the same
+// weights on a bit-identical replica, and Infer is bit-identical to the
+// Forward the serial path runs), the CAM is per-slot, and the in-order
+// commit performs the same single float add per (d, p, t) cell per
+// permutation, in permutation order.
 
 #ifndef DCAM_CORE_ENGINE_H_
 #define DCAM_CORE_ENGINE_H_
@@ -99,17 +104,24 @@ struct DcamTick {
 
 /// Verdict of a tick callback: keep refining, or stop this request now. A
 /// cancelled request's DcamResult carries the partial state at the boundary
-/// (k = k_done, cancelled = true); its remaining permutation budget is never
-/// drawn, so batch-mates stop sharing forward batches with it immediately.
+/// (k = k_done, cancelled = true). Its remaining budget is no longer drawn,
+/// so batch-mates stop sharing the lanes with it at once; the slots of it
+/// that lanes had already computed past the boundary (at most one window,
+/// Config::batch) are dropped, never accumulated.
 enum class TickAction { kContinue, kCancel };
 
+/// A tick callback. It runs on the thread that called ComputeMany, once per
+/// tick boundary of each request, in commit order (for requests ticking in
+/// the same round: in request order). While it runs, the request's
+/// accumulation waits at the boundary; the lanes keep computing. It runs
+/// inside the engine's lane sweep, so it must not throw.
 using DcamTickFn = std::function<TickAction(const DcamTick&)>;
 
 /// Per-call tick settings of DcamEngine::ComputeMany (ignored without a
 /// callback).
 struct DcamTickConfig {
-  /// Permutations drawn per request per tick round; 0 = the engine batch
-  /// width (one full forward batch per round per live request).
+  /// Permutations drawn per request per tick round; 0 = the engine's window
+  /// (Config::batch).
   int tick_every = 0;
   /// Per-request: emit the partial map (and delta) on each tick. Costs a
   /// (D, D, n) copy + extraction per tick. Empty = all false.
@@ -119,15 +131,14 @@ struct DcamTickConfig {
 class DcamEngine {
  public:
   struct Config {
-    /// Permutations evaluated per flush, that is, the most instance
-    /// forwards one flush runs side by side (one per worker, each on its
-    /// worker's replica). 0 (the default) adapts to the configured worker
-    /// set: the global pool's width — which follows DCAM_CPU_SET when a core
-    /// set is pinned, hardware concurrency otherwise — clamped to [1, 16],
-    /// so every worker gets one instance per flush. On a single core this
-    /// is 1 and the flush runs inline on the caller; a 4-core-pinned
-    /// service must not inherit a 64-wide batch (and 64 replicas) from a
-    /// 64-core host.
+    /// The commit window: the most slots (permutation forwards) in flight
+    /// between the oldest uncommitted slot and the newest claimed one. A
+    /// wider window lets lanes run further ahead of a slow forward or a
+    /// pending tick; each slot holds its permutation and a (D, n) CAM.
+    /// 0 (the default) adapts to the configured worker set: twice the
+    /// global pool's width, which follows DCAM_CPU_SET when a core set is
+    /// pinned and hardware concurrency otherwise. On a single core every
+    /// slot runs inline on the caller.
     int batch = 0;
   };
 
@@ -145,33 +156,32 @@ class DcamEngine {
                      const DcamOptions& options = {});
 
   /// The k-loop. Explains many series in one pass: result[i] explains
-  /// series[i] (D, n_i) w.r.t. class_idx[i] under options[i]. Permutation
-  /// batches are packed across series boundaries whenever consecutive
-  /// series share (D, n), so tail underfill costs at most one partial batch
-  /// per shape change — the dataset-level path of Section 4.6.
+  /// series[i] (D, n_i) w.r.t. class_idx[i] under options[i]. The lanes
+  /// stream slots across series boundaries, so series of different shapes
+  /// may share one call.
   ///
-  /// Requests advance round-robin: each round draws up to
-  /// `ticks.tick_every` permutations per live request, then `on_tick` fires
-  /// once per still-unfinished request with its cursor — and, for requests
-  /// flagged in `ticks.emit_partial`, the partial map plus the convergence
-  /// delta. Returning kCancel retires the request at that boundary; its
-  /// unspent budget is never drawn, so later rounds pack only live
-  /// requests. Ticks never fire for a request whose budget completed during
-  /// the round, so a request with k <= tick_every sees zero ticks. Without
-  /// a callback the whole budget is drawn in a single round.
+  /// Draw order: requests advance round-robin, up to `ticks.tick_every`
+  /// permutations per live request per round. After a request's
+  /// permutations of a round are committed, `on_tick` fires for it (on the
+  /// calling thread) with its cursor — and, for requests flagged in
+  /// `ticks.emit_partial`, the partial map plus the convergence delta.
+  /// Returning kCancel retires the request at that boundary: its unspent
+  /// budget is never drawn, and slots of it computed ahead are dropped.
+  /// Ticks never fire for a request whose budget completes in the round, so
+  /// a request with k <= tick_every sees zero ticks. Without a callback
+  /// each request's whole budget is one round.
   ///
   /// Memory: a request's (D, D, n) accumulator is allocated at its first
-  /// draw and finalized right after the flush that accumulates its last
-  /// permutation, so with keep_mbar == false and no callback the live
-  /// accumulators are bounded by the packing horizon, not by N. With a
-  /// callback every started request stays live until it retires.
+  /// commit and finalized at its last, so with keep_mbar == false the live
+  /// accumulators are bounded by the requests one window spans, not by N.
   ///
   /// Determinism: per-request accumulation order depends only on that
-  /// request's own permutation order, and per-instance forwards/CAMs are
-  /// batch-composition-independent, so an uncancelled request's result is
-  /// bit-identical to ComputeDcamSerial at the same seed, regardless of
+  /// request's own permutation order, and per-slot forwards/CAMs are
+  /// lane-independent, so an uncancelled request's result is bit-identical
+  /// to ComputeDcamSerial at the same seed, regardless of the window, of
   /// tick_every, of cancellations among batch-mates, and of how rounds
-  /// interleave requests. (Verified by engine_test.)
+  /// interleave requests; a cancelled one is ComputeDcamSerial at
+  /// k = k_done. (Verified by engine_test.)
   std::vector<DcamResult> ComputeMany(const std::vector<Tensor>& series,
                                       const std::vector<int>& class_idx,
                                       const std::vector<DcamOptions>& options,
@@ -188,33 +198,26 @@ class DcamEngine {
   int batch() const { return config_.batch; }
 
  private:
-  // One (series, permutation) pair awaiting evaluation. Slots live in a
-  // persistent pool (pending_) and are reused across flushes, so the perm
-  // and inverse vectors keep their capacity instead of reallocating per
-  // permutation.
-  struct Slot {
-    const Tensor* series = nullptr;
-    std::vector<int> perm;
-    std::vector<int> inverse;  // filled by Flush for the gather-form scatter
-    int class_idx = 0;
-    bool correct = false;      // this slot's n_g vote, set by its morsel
-    Tensor* msum = nullptr;    // (D, D, n) accumulator this slot scatters into
-    int* num_correct = nullptr;  // n_g counter this slot votes into
-  };
+  class Sweep;
 
-  // Returns persistent scratch of the exact requested shape. The full-batch
-  // shape and the most recent partial-batch shape are cached separately so
-  // the k-loop tail does not thrash the main buffers.
-  Tensor* ScratchCube(int64_t b, int64_t dims, int64_t len);
-  Tensor* ScratchCam(int64_t b, int64_t dims, int64_t len);
-
-  // The next free slot of the pool; Flush when the pool holds a full batch.
-  Slot* NextSlot();
-
-  // One worker id's model replica.
+  // One worker id's model replica and the cube its forwards read.
   struct Lane {
     std::unique_ptr<models::Model> replica;
     models::GapModel* model = nullptr;  // replica, as a GapModel
+    Tensor cube;                        // (1, D, D, n)
+  };
+
+  // One window position: the slot in flight there, from its claim until
+  // its commit (see Sweep). Entries are reused round the ring, so the
+  // permutation vectors and the CAM keep their storage across the k-loop.
+  struct Slot {
+    size_t request = 0;
+    std::vector<int> perm;
+    std::vector<int> inverse;  // for the gather-form scatter
+    Tensor cam;                // (1, D, n)
+    bool correct = false;      // this slot's n_g vote
+    bool ready = false;        // computed; committable once its prefix is
+    bool ends_emitting_round = false;  // its commit ticks with a partial map
   };
 
   // The lane of worker id `worker`, created (by Model::Clone on the calling
@@ -224,40 +227,21 @@ class DcamEngine {
   // Copies the model's current weights and buffers into every lane.
   void RefreshLanes();
 
-  // Evaluates and scatters the pending slots (which share one (D, n)
-  // shape), then marks the pool empty.
-  void Flush();
-
   void CheckCubeModel(int64_t dims, int64_t len);
 
   models::GapModel* model_;
   Config config_;
   bool checked_cube_input_ = false;
+  bool running_ = false;  // a ComputeMany call is in progress
 
-  // Persistent scratch. The cube/CAM batches deliberately keep ordinary
-  // Tensor storage rather than arena storage: a replica's layers cache a
-  // shared-storage copy of their input (a row view that co-owns the whole
-  // cube), so the cube must stay valid under shared ownership that can
-  // outlive a flush. Warmth comes from reuse: the same buffers serve every
-  // flush.
-  Tensor cube_full_, cam_full_;  // batch == config_.batch
-  Tensor cube_tail_, cam_tail_;  // most recent partial batch
-  std::vector<Slot> pending_;    // slot pool; first pending_count_ are live
-  int pending_count_ = 0;
+  // The commit window, config_.batch entries; slot s lives at s % batch.
+  std::vector<Slot> window_;
 
   // Lanes indexed by worker id. The mutex guards the vector; a Lane itself
   // is only touched by its worker inside a sweep and by the calling thread
   // between sweeps.
   std::mutex lanes_mu_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-
-  // Per-flush scatter grouping (slot ranges sharing one accumulator); a
-  // member so the steady-state flush loop allocates nothing.
-  struct Group {
-    Tensor* msum;
-    int64_t first, last;  // slot range [first, last)
-  };
-  std::vector<Group> groups_;
 };
 
 }  // namespace core

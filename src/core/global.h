@@ -39,13 +39,13 @@ struct DatasetExplanation {
 };
 
 /// End-to-end dataset explanation (Section 4.6): explains series[i] w.r.t.
-/// class_idx[i] under options[i] with the batched engine — permutation
-/// batches are packed across series, so the whole dataset shares one set of
-/// input/CAM scratch buffers — then aggregates the per-instance dCAMs over
-/// `segments` into a GlobalExplanation. The returned results carry dcam, mu
-/// and n_g but not mbar: each accumulator is released as its series
-/// completes, so live accumulators are bounded by the packing horizon, not
-/// by the dataset size. Call ComputeMany with keep_mbar for the M-bars.
+/// class_idx[i] under options[i] with the batched engine — one lane sweep
+/// streams every series' permutations, so the whole dataset shares the
+/// lanes' cubes and the commit window — then aggregates the per-instance
+/// dCAMs over `segments` into a GlobalExplanation. The returned results
+/// carry dcam, mu and n_g but not mbar: each accumulator is released as its
+/// series completes, so live accumulators are bounded by the commit window,
+/// not by the dataset size. Call ComputeMany with keep_mbar for the M-bars.
 DatasetExplanation ExplainDataset(DcamEngine* engine,
                                   const std::vector<Tensor>& series,
                                   const std::vector<int>& class_idx,

@@ -118,9 +118,10 @@ AdaptiveDcamResult ComputeDcamAdaptive(models::GapModel* model,
   DCAM_CHECK_GE(options.stable_batches, 1);
 
   // The stopping rule is a tick callback over the engine's k-loop: each
-  // convergence batch is one tick round (one forward), every tick emits the
-  // partial map and its delta, and the callback cancels once the map is
-  // stable. The permutation schedule is the fixed-k one at the same seed.
+  // convergence batch is one tick round (and the engine's commit window),
+  // every tick emits the partial map and its delta, and the callback cancels
+  // once the map is stable. The permutation schedule is the fixed-k one at
+  // the same seed.
   DcamEngine::Config engine_config;
   engine_config.batch = options.batch;
   DcamEngine engine(model, engine_config);

@@ -421,7 +421,8 @@ class ExplainService {
     CacheConfig cache;
     /// Admission-control bounds and overload policy; see AdmissionConfig.
     AdmissionConfig admission;
-    /// Forwarded to DcamEngine::Config::batch (0 = adapt to the machine).
+    /// Forwarded to DcamEngine::Config::batch, the engine's commit window
+    /// (0 = adapt to the machine).
     int engine_batch = 0;
     /// At most this many dCAM requests are folded into one ComputeMany call
     /// — bounds the number of live (D, D, n) accumulators per shard.
@@ -431,10 +432,10 @@ class ExplainService {
     /// subset of the shards; each group shard owns a private weight copy.
     int replicas = 1;
     /// Permutations per request between streaming ticks (and cancel /
-    /// deadline checkpoints) of the "dcam" engine path; 0 = the engine
-    /// batch width, which costs no forward-batch underfill. Smaller values
-    /// buy finer tick granularity at the price of partially-filled
-    /// forwards.
+    /// deadline checkpoints) of the "dcam" engine path; 0 = the engine's
+    /// commit window. Ticks hold no lane back (the engine keeps computing
+    /// up to its window while a tick runs), so smaller values cost only
+    /// the ticks themselves.
     int stream_tick_k = 0;
     /// Cadence of the elasticity controller thread; 0 disables the thread
     /// (elastic groups then only move when TickElasticity() is called —

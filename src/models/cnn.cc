@@ -56,10 +56,11 @@ Tensor ConvNet::Forward(const Tensor& input, bool training) {
   return dense_->Forward(pooled, training);
 }
 
-Tensor ConvNet::Infer(const Tensor& input) {
+const Tensor& ConvNet::Infer(const Tensor& input) {
   activation_ = body_.Infer(input);
-  Tensor pooled = gap_.Forward(activation_, /*training=*/false);
-  return dense_->Forward(pooled, /*training=*/false);
+  gap_.Infer(activation_, &pooled_);
+  dense_->Infer(pooled_, &logits_);
+  return logits_;
 }
 
 Tensor ConvNet::Backward(const Tensor& grad_logits) {

@@ -41,9 +41,10 @@ class ConvNet : public GapModel {
   int num_classes() const override { return num_classes_; }
   Tensor PrepareInput(const Tensor& batch) const override;
   Tensor Forward(const Tensor& input, bool training) override;
-  /// Fused forward-only path (nn::Sequential::Infer): no backward caches,
-  /// and last_activation() views a buffer the next Infer overwrites.
-  Tensor Infer(const Tensor& input) override;
+  /// Fused forward-only path (nn::Sequential::Infer, then GAP and the head
+  /// into replica-owned buffers): no backward caches, and the logits and
+  /// last_activation() view buffers the next Infer overwrites.
+  const Tensor& Infer(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_logits) override;
   std::vector<nn::Parameter*> Params() override;
   std::vector<std::pair<std::string, Tensor*>> Buffers() override;
@@ -63,6 +64,7 @@ class ConvNet : public GapModel {
   nn::GlobalAvgPool gap_;
   std::unique_ptr<nn::Dense> dense_;
   Tensor activation_;
+  Tensor pooled_, logits_;  // Infer's GAP and head outputs
 };
 
 }  // namespace models

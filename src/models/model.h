@@ -95,11 +95,14 @@ class GapModel : public Model {
   ///     no backward caches and CHECK-fails; run Forward first;
   ///   * last_activation() is valid until the next Forward or Infer, which
   ///     may overwrite it in place.
+  ///   * the returned logits are valid until the next Forward or Infer.
   /// The default runs Forward(input, false); the CNN family overrides it
-  /// with fused Conv2d -> BatchNorm -> ReLU blocks over buffers planned per
-  /// input shape, so repeated calls at one shape allocate no activations.
-  virtual Tensor Infer(const Tensor& input) {
-    return Forward(input, /*training=*/false);
+  /// with fused Conv2d -> BatchNorm -> ReLU blocks, GAP and the dense head
+  /// over buffers planned per input shape, so repeated calls at one shape
+  /// allocate nothing.
+  virtual const Tensor& Infer(const Tensor& input) {
+    infer_logits_ = Forward(input, /*training=*/false);
+    return infer_logits_;
   }
 
   /// Activation A of the last convolutional block from the most recent
@@ -108,6 +111,9 @@ class GapModel : public Model {
 
   /// The dense layer mapping GAP output to class logits.
   virtual const nn::Dense& head() const = 0;
+
+ private:
+  Tensor infer_logits_;  // the default Infer's result
 };
 
 }  // namespace models

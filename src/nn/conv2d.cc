@@ -26,13 +26,18 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel_h, int kernel_w,
                 static_cast<int64_t>(in_channels) * kernel_h * kernel_w, rng);
 }
 
-Shape Conv2d::OutputShape(const Tensor& input) const {
+std::pair<int64_t, int64_t> Conv2d::OutputHW(const Tensor& input) const {
   DCAM_CHECK_EQ(input.rank(), 4);
   DCAM_CHECK_EQ(input.dim(1), in_channels_);
   const int64_t Hout = input.dim(2) + 2 * pad_h_ - kernel_h_ + 1;
   const int64_t Wout = input.dim(3) + 2 * pad_w_ - kernel_w_ + 1;
   DCAM_CHECK_GT(Hout, 0);
   DCAM_CHECK_GT(Wout, 0);
+  return {Hout, Wout};
+}
+
+Shape Conv2d::OutputShape(const Tensor& input) const {
+  const auto [Hout, Wout] = OutputHW(input);
   return {input.dim(0), out_channels_, Hout, Wout};
 }
 
@@ -78,14 +83,15 @@ Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
   return out;
 }
 
-Tensor Conv2d::Infer(const Tensor& input, Tensor* col_buf,
-                     Tensor* out_buf) const {
-  Tensor out = ScratchView(out_buf, OutputShape(input));
-  const int64_t CKK = int64_t{in_channels_} * kernel_h_ * kernel_w_;
-  Tensor col =
-      ScratchView(col_buf, {out.dim(0), CKK, out.dim(2) * out.dim(3)});
-  Convolve(input, col.data(), &out);
-  return out;
+void Conv2d::Infer(const Tensor& input, Tensor* col_buf, Tensor* out_buf,
+                   Tensor* out) const {
+  const auto [Hout, Wout] = OutputHW(input);
+  const int64_t B = input.dim(0);
+  ScratchView(out_buf, {B, out_channels_, Hout, Wout}, out);
+  const int64_t col_size =
+      B * in_channels_ * kernel_h_ * kernel_w_ * Hout * Wout;
+  if (col_buf->size() < col_size) *col_buf = Tensor({col_size});
+  Convolve(input, col_buf->data(), out);
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_output) {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/layer.h"
@@ -35,10 +36,13 @@ class Conv2d : public Layer {
   Tensor Backward(const Tensor& grad_output) override;
 
   /// Forward-only: the output of Forward(input, false), bit for bit, written
-  /// into a view of the grow-only scratch `out_buf` with `col_buf` as the
-  /// im2col scratch (see ScratchView). Touches no layer state, so it keeps
-  /// no backward cache and leaves Forward's own scratch alone.
-  Tensor Infer(const Tensor& input, Tensor* col_buf, Tensor* out_buf) const;
+  /// into `*out`, a view of the grow-only scratch `out_buf` (see
+  /// ScratchView), with `col_buf` as the grow-only im2col scratch. Touches no
+  /// layer state, so it keeps no backward cache and leaves Forward's own
+  /// scratch alone; with `*out` kept by the caller, a repeated call at one
+  /// input shape allocates nothing.
+  void Infer(const Tensor& input, Tensor* col_buf, Tensor* out_buf,
+             Tensor* out) const;
 
   /// Direct-convolution reference path, numerically equivalent to
   /// Forward/Backward up to float summation order. ForwardNaive sets the
@@ -58,6 +62,8 @@ class Conv2d : public Layer {
  private:
   // (B, Cout, Hout, Wout) for a (B, Cin, H, W) input; CHECKs the input.
   Shape OutputShape(const Tensor& input) const;
+  // Its (Hout, Wout), without building a Shape.
+  std::pair<int64_t, int64_t> OutputHW(const Tensor& input) const;
 
   // im2col into `col` (B, Cin*KH*KW, Hout*Wout) + one batched GEMM into
   // `out`, whose shape is OutputShape(input): the body Forward and Infer

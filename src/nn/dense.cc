@@ -19,16 +19,22 @@ Dense::Dense(int in_features, int out_features, Rng* rng, bool use_bias)
 }
 
 Tensor Dense::Forward(const Tensor& input, bool /*training*/) {
+  Tensor out;
+  Infer(input, &out);
+  cached_input_ = input;
+  return out;
+}
+
+void Dense::Infer(const Tensor& input, Tensor* out) const {
   DCAM_CHECK_EQ(input.rank(), 2);
   DCAM_CHECK_EQ(input.dim(1), in_features_);
-  cached_input_ = input;
   // (B, in) x (out, in)^T -> (B, out), accumulating onto bias-filled rows
   // (beta = 1) so the bias add costs no extra pass.
   const int64_t B = input.dim(0);
-  Tensor out({B, out_features_});
+  EnsureTensorShape(out, {B, out_features_});
   float beta = 0.0f;
   if (use_bias_) {
-    float* po = out.data();
+    float* po = out->data();
     for (int64_t b = 0; b < B; ++b) {
       std::memcpy(po + b * out_features_, bias_.value.data(),
                   static_cast<size_t>(out_features_) * sizeof(float));
@@ -36,8 +42,7 @@ Tensor Dense::Forward(const Tensor& input, bool /*training*/) {
     beta = 1.0f;
   }
   gemm::SgemmNT(B, out_features_, in_features_, 1.0f, input.data(),
-                weight_.value.data(), beta, out.data());
-  return out;
+                weight_.value.data(), beta, out->data());
 }
 
 Tensor Dense::Backward(const Tensor& grad_output) {

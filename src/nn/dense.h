@@ -19,6 +19,9 @@ class Dense : public Layer {
   Dense(int in_features, int out_features, Rng* rng, bool use_bias = true);
 
   Tensor Forward(const Tensor& input, bool training) override;
+  /// Forward-only: Forward's (B, out) output, bit for bit, written into
+  /// `*out` (reshaped only when its shape differs). Keeps no backward cache.
+  void Infer(const Tensor& input, Tensor* out) const;
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Params() override;
   std::string name() const override { return "Dense"; }

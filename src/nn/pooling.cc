@@ -6,22 +6,28 @@ namespace dcam {
 namespace nn {
 
 Tensor GlobalAvgPool::Forward(const Tensor& input, bool /*training*/) {
-  DCAM_CHECK(input.rank() == 3 || input.rank() == 4);
+  Tensor out;
+  Infer(input, &out);
   cached_shape_ = input.shape();
+  return out;
+}
+
+void GlobalAvgPool::Infer(const Tensor& input, Tensor* out) const {
+  DCAM_CHECK(input.rank() == 3 || input.rank() == 4);
   const int64_t B = input.dim(0), C = input.dim(1);
   int64_t S = input.dim(2);
   if (input.rank() == 4) S *= input.dim(3);
-  Tensor out({B, C});
+  EnsureTensorShape(out, {B, C});
   const float* in = input.data();
+  float* o = out->data();
   for (int64_t b = 0; b < B; ++b) {
     for (int64_t c = 0; c < C; ++c) {
       const float* p = in + (b * C + c) * S;
       double acc = 0.0;
       for (int64_t s = 0; s < S; ++s) acc += p[s];
-      out.at(b, c) = static_cast<float>(acc / S);
+      o[b * C + c] = static_cast<float>(acc / S);
     }
   }
-  return out;
 }
 
 Tensor GlobalAvgPool::Backward(const Tensor& grad_output) {

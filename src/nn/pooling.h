@@ -18,6 +18,9 @@ namespace nn {
 class GlobalAvgPool : public Layer {
  public:
   Tensor Forward(const Tensor& input, bool training) override;
+  /// Forward-only: Forward's (B, C) output, bit for bit, written into `*out`
+  /// (reshaped only when its shape differs). Keeps no backward cache.
+  void Infer(const Tensor& input, Tensor* out) const;
   Tensor Backward(const Tensor& grad_output) override;
   std::string name() const override { return "GlobalAvgPool"; }
 

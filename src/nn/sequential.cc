@@ -24,11 +24,12 @@ Tensor Sequential::Forward(const Tensor& input, bool training) {
   return x;
 }
 
-Tensor Sequential::Infer(const Tensor& input) {
+const Tensor& Sequential::Infer(const Tensor& input) {
   DCAM_CHECK(!layers_.empty());
   outputs_.clear();  // what Backward checks: Infer leaves nothing to reverse
   const size_t n = layers_.size();
-  Tensor x = input;
+  infer_out_.resize(n);
+  const Tensor* x = &input;
   int next = 0;  // the block-output buffer the next fused block writes
   for (size_t i = 0; i < n; ++i) {
     const auto* conv = dynamic_cast<const Conv2d*>(layers_[i].get());
@@ -38,17 +39,20 @@ Tensor Sequential::Infer(const Tensor& input) {
             : nullptr;
     if (bn != nullptr &&
         dynamic_cast<const ReLU*>(layers_[i + 2].get()) != nullptr) {
-      // x never views infer_act_[next]: it is the input, a fallback layer's
+      // *x never views infer_act_[next]: it is the input, a fallback layer's
       // output, or the other buffer.
-      x = conv->Infer(x, &infer_col_, &infer_act_[next]);
-      bn->InferReluInPlace(&x);
+      Tensor* out = &infer_out_[i];
+      conv->Infer(*x, &infer_col_, &infer_act_[next], out);
+      bn->InferReluInPlace(out);
+      x = out;
       next ^= 1;
       i += 2;
     } else {
-      x = layers_[i]->Forward(x, /*training=*/false);
+      infer_out_[i] = layers_[i]->Forward(*x, /*training=*/false);
+      x = &infer_out_[i];
     }
   }
-  return x;
+  return *x;
 }
 
 Tensor Sequential::Backward(const Tensor& grad_output) {

@@ -39,12 +39,13 @@ class Sequential : public Layer {
   /// applied to it in place in one pass; any other layer runs its
   /// Forward(x, false). Block outputs alternate between two grow-only
   /// buffers sized by the first input of each shape, with one im2col
-  /// scratch shared by every block, so repeated calls at one shape allocate
-  /// no activations. The result may view one of those buffers: it is valid
-  /// until the next Infer. No layer caches are written and no per-layer
-  /// outputs are kept, so Backward (and layer_output) must not follow; a
-  /// fresh Forward restores them.
-  Tensor Infer(const Tensor& input);
+  /// scratch shared by every block, and each block keeps its view of them,
+  /// so repeated calls at one shape allocate nothing (for an all-block
+  /// body). The result is one of those views: it is valid until the next
+  /// Infer. No layer caches are written and no per-layer outputs are kept,
+  /// so Backward (and layer_output) must not follow; a fresh Forward
+  /// restores them.
+  const Tensor& Infer(const Tensor& input);
 
   std::vector<Parameter*> Params() override;
   std::vector<std::pair<std::string, Tensor*>> Buffers() override;
@@ -65,9 +66,12 @@ class Sequential : public Layer {
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Tensor> outputs_;
   std::vector<Tensor> output_grads_;
-  // Infer's plan: the im2col scratch and the two block-output buffers.
+  // Infer's plan: the im2col scratch, the two block-output buffers, and
+  // per layer its output (a fused block's view of one of the buffers, or a
+  // fallback layer's Forward result).
   Tensor infer_col_;
   Tensor infer_act_[2];
+  std::vector<Tensor> infer_out_;
 };
 
 }  // namespace nn

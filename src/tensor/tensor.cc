@@ -9,21 +9,36 @@
 
 namespace dcam {
 
+bool HasShape(const Tensor& t, std::initializer_list<int64_t> shape) {
+  return std::equal(t.shape().begin(), t.shape().end(), shape.begin(),
+                    shape.end());
+}
+
 Tensor* EnsureTensorShape(Tensor* t, const Shape& shape) {
   DCAM_CHECK(t != nullptr);
   if (t->empty() || t->shape() != shape) *t = Tensor(shape);
   return t;
 }
 
-Tensor ScratchView(Tensor* buf, Shape shape) {
-  DCAM_CHECK(buf != nullptr);
-  const int64_t size = NumElements(shape);
+Tensor* EnsureTensorShape(Tensor* t, std::initializer_list<int64_t> shape) {
+  DCAM_CHECK(t != nullptr);
+  if (t->empty() || !HasShape(*t, shape)) *t = Tensor(Shape(shape));
+  return t;
+}
+
+void ScratchView(Tensor* buf, std::initializer_list<int64_t> shape,
+                 Tensor* view) {
+  DCAM_CHECK(buf != nullptr && view != nullptr);
+  int64_t size = 1;
+  for (int64_t d : shape) {
+    DCAM_CHECK_GT(d, 0);
+    size *= d;
+  }
   if (buf->size() < size) *buf = Tensor({size});
-  Tensor out;
-  out.shape_ = std::move(shape);
-  out.size_ = size;
-  out.data_ = buf->data_;
-  return out;
+  if (view->data() == buf->data() && HasShape(*view, shape)) return;
+  view->shape_.assign(shape);
+  view->size_ = size;
+  view->data_ = buf->data_;
 }
 
 int64_t NumElements(const Shape& shape) {

@@ -10,6 +10,7 @@
 #define DCAM_TENSOR_TENSOR_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -113,26 +114,36 @@ class Tensor {
   int64_t Argmax() const;
 
  private:
-  friend Tensor ScratchView(Tensor* buf, Shape shape);
+  friend void ScratchView(Tensor* buf, std::initializer_list<int64_t> shape,
+                          Tensor* view);
 
   Shape shape_;
   int64_t size_ = 0;
   std::shared_ptr<float[]> data_;
 };
 
+/// True if `t` has exactly the dims `shape`, compared in place (no Shape is
+/// built, so a steady-state scratch check allocates nothing).
+bool HasShape(const Tensor& t, std::initializer_list<int64_t> shape);
+
 /// Reuses `t` if it already has exactly `shape`, otherwise replaces it with
 /// a fresh zero-initialized tensor of that shape. The persistent-scratch
 /// idiom shared by the batched engine and the occlusion baseline. Returns
-/// `t` for call-site convenience.
+/// `t` for call-site convenience. The braced-list overload allocates only
+/// when it replaces `t`.
 Tensor* EnsureTensorShape(Tensor* t, const Shape& shape);
+Tensor* EnsureTensorShape(Tensor* t, std::initializer_list<int64_t> shape);
 
-/// Grow-only scratch: returns a `shape` view of the front of `*buf`, first
-/// replacing `*buf` with a fresh zero-initialized buffer when it holds fewer
-/// than NumElements(shape) floats. Unlike EnsureTensorShape, one buffer
-/// serves every shape that fits, so a chain of differently shaped
+/// Grow-only scratch: makes `*view` a `shape` view of the front of `*buf`,
+/// first replacing `*buf` with a fresh zero-initialized buffer when it holds
+/// fewer than NumElements(shape) floats. Unlike EnsureTensorShape, one
+/// buffer serves every shape that fits, so a chain of differently shaped
 /// activations reuses it without reallocating. The view shares `*buf`'s
-/// storage; its contents are whatever the buffer last held.
-Tensor ScratchView(Tensor* buf, Shape shape);
+/// storage; its contents are whatever the buffer last held. A view that
+/// already has `shape` over the current `*buf` is left as it is, so a
+/// caller that keeps its views allocates nothing in the steady state.
+void ScratchView(Tensor* buf, std::initializer_list<int64_t> shape,
+                 Tensor* view);
 
 }  // namespace dcam
 

@@ -2,13 +2,14 @@
 //
 // Peak accumulator memory of the dataset-level path. ExplainDataset runs the
 // engine's k-loop without a tick callback: a request's (D, D, n) accumulator
-// is allocated at its first draw and, with keep_mbar == false, released right
-// after the flush that accumulates its last permutation. The live
-// accumulators are therefore bounded by the packing horizon (the requests one
-// forward batch can span) and not by the dataset size.
+// is allocated at its first commit and, with keep_mbar == false, released at
+// its last. Commits run in slot order, so the live accumulators are bounded
+// by the requests one commit window spans and not by the dataset size.
 //
-// Steady-state flushes allocate no large blocks: a lane's forward-only
-// Infer writes its activations into buffers planned at the first flush.
+// Steady-state permutations allocate nothing: a lane's forward-only Infer
+// writes its activations, GAP and logits into buffers planned at the first
+// slot, and the slot's cube, permutation and CAM reuse the lane's and the
+// window's storage.
 //
 // Tensor storage comes from `new float[]`, so this binary replaces the global
 // array new/delete with a size-tagged malloc and counts the live arrays of
@@ -91,8 +92,9 @@ namespace core {
 namespace {
 
 TEST(DcamEngineMemoryTest, DatasetPassKeepsAccumulatorsBoundedByHorizon) {
-  // D * D * n = 333 floats: no cube, activation, CAM or map of this tiny
-  // dCNN at batch 4 has that size, so every watched array is an accumulator.
+  // D * D * n = 333 floats: no activation, CAM or map of this tiny dCNN has
+  // that size, so every watched array is an accumulator or a lane's
+  // (1, D, D, n) cube.
   const int D = 3, n = 37, N = 48;
   Rng rng(61);
   models::ConvNetConfig cfg;
@@ -109,7 +111,7 @@ TEST(DcamEngineMemoryTest, DatasetPassKeepsAccumulatorsBoundedByHorizon) {
     series.push_back(s);
     classes.push_back(i % 2);
     DcamOptions o;
-    o.k = 3;  // 4-wide batches span two requests; N * k fills every batch
+    o.k = 3;  // a 4-slot window spans two requests
     o.seed = 900 + i;
     options.push_back(o);
     segments.emplace_back(n, i % 2);
@@ -117,26 +119,32 @@ TEST(DcamEngineMemoryTest, DatasetPassKeepsAccumulatorsBoundedByHorizon) {
   DcamEngine::Config engine_cfg;
   engine_cfg.batch = 4;
   DcamEngine engine(&model, engine_cfg);
-  // Warm-up outside the watch: the engine's one-time cube-model probe
-  // allocates a (1, D, D, n) tensor, the accumulator's size.
-  (void)engine.Compute(series[0], 0, options[0]);
 
-  g_live.store(0);
-  g_peak.store(0);
-  g_watch_bytes.store(sizeof(float) * D * D * n);
-  const DatasetExplanation out =
-      ExplainDataset(&engine, series, classes, options, segments, 2);
-  g_watch_bytes.store(0);
+  // One outer morsel: the engine's sweeps run serially on this thread, so
+  // the one lane whose cube the warm-up allocates (along with the one-time
+  // cube-model probe, also of the accumulator's size) serves the watched
+  // pass too; on a pool sweep, a worker first joining the watched pass
+  // would allocate its cube inside the watch.
+  DatasetExplanation out;
+  ParallelMorsel(0, 1, 1, [&](int /*worker*/, int64_t, int64_t) {
+    (void)engine.Compute(series[0], 0, options[0]);
+    g_live.store(0);
+    g_peak.store(0);
+    g_watch_bytes.store(sizeof(float) * D * D * n);
+    out = ExplainDataset(&engine, series, classes, options, segments, 2);
+    g_watch_bytes.store(0);
+  });
 
   ASSERT_EQ(out.results.size(), static_cast<size_t>(N));
   for (const DcamResult& r : out.results) {
     EXPECT_TRUE(r.mbar.empty());
     EXPECT_EQ(r.k, 3);
   }
-  // Seen at all (the hook works), and never more than the requests one
-  // pending batch can span plus the one being drawn.
-  EXPECT_GE(g_peak.load(), 1);
-  EXPECT_LE(g_peak.load(), engine_cfg.batch + 1);
+  // Seen at all (the hook works), and never more than one at a time: with
+  // no callback a request's slots are consecutive, and the in-order commit
+  // releases request i's accumulator at its last slot, before request
+  // i + 1's first slot allocates one.
+  EXPECT_EQ(g_peak.load(), 1);
   EXPECT_EQ(g_live.load(), 0);
 }
 
@@ -160,10 +168,11 @@ AllocationCount CountCompute(DcamEngine* engine, const Tensor& series,
   return {g_large.load(), g_small.load()};
 }
 
-TEST(DcamEngineMemoryTest, SteadyStateFlushAllocatesNoLargeBlocks) {
+TEST(DcamEngineMemoryTest, SteadyStatePermutationsAllocateNothing) {
   // dCNN at width scale 8 over a (1, 8, 8, 128) cube: its smallest
   // activation, 8 channels x 8 x 128 floats, is 32 KiB, so any activation,
-  // im2col column or backward cache allocated per flush counts as large.
+  // im2col column or backward cache allocated per permutation counts as
+  // large.
   const int D = 8, n = 128;
   Rng rng(67);
   models::ConvNet model(models::InputMode::kCube, D, 2,
@@ -174,30 +183,33 @@ TEST(DcamEngineMemoryTest, SteadyStateFlushAllocatesNoLargeBlocks) {
   engine_cfg.batch = 4;
   DcamEngine engine(&model, engine_cfg);
 
-  // One outer morsel: every engine call inside it runs its sweeps serially
-  // on this one thread, so a single lane serves every flush and the
-  // warm-up below is guaranteed to have created and planned it (on a pool
-  // sweep, a worker that first joins a later call would clone its lane
-  // then).
+  // One outer morsel: every engine call inside it runs its sweep serially
+  // on this one thread, so a single lane serves every slot and the warm-up
+  // below is guaranteed to have created and planned it (on a pool sweep, a
+  // worker that first joins a later call would clone its lane then).
   AllocationCount short_run, long_run;
   ParallelMorsel(0, 1, 1, [&](int /*worker*/, int64_t, int64_t) {
     DcamOptions warm;
     warm.k = 8;
     (void)engine.Compute(series, 0, warm);
-    short_run = CountCompute(&engine, series, 8);   // 2 flushes
-    long_run = CountCompute(&engine, series, 64);   // 16 flushes
+    short_run = CountCompute(&engine, series, 8);
+    long_run = CountCompute(&engine, series, 64);
   });
 
   // The per-request allocations (accumulator, map, result vectors) are the
   // same in both runs and include large ones, so the hook is live...
   EXPECT_GT(short_run.large, 0);
-  // ...and the 14 extra flushes of the long run add no large allocation.
+  // ...and the 56 extra permutations of the long run add no large
+  // allocation...
   EXPECT_EQ(long_run.large, short_run.large);
-  // What a flush still allocates is small: Shape vectors of the row views,
-  // the (1, C) GAP and logit tensors, their control blocks.
-  std::cout << "small allocations per steady-state flush: "
-            << static_cast<double>(long_run.small - short_run.small) / 14.0
-            << "\n";
+  // ...nor a small one: the slot's cube, permutation and CAM, the fused
+  // blocks' views, GAP's and the head's outputs all reuse their storage.
+  constexpr double kMaxSmallPerPermutation = 0.0;
+  const double small_per_permutation =
+      static_cast<double>(long_run.small - short_run.small) / 56.0;
+  std::cout << "small allocations per steady-state permutation: "
+            << small_per_permutation << "\n";
+  EXPECT_LE(small_per_permutation, kMaxSmallPerPermutation);
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstring>
+#include <map>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -15,6 +19,7 @@
 #include "core/global.h"
 #include "models/cnn.h"
 #include "models/model.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace dcam {
@@ -564,6 +569,240 @@ TEST(DcamEngineTickTest, CancelStopsOneRequestOthersExact) {
   // The survivor is bit-identical to a solo full-budget run: a batch-mate's
   // cancellation reclaims budget, it never redistributes it.
   ExpectBitIdentical(engine.Compute(series[1], 1, options[1]), got[1]);
+}
+
+// ---- The pipeline: commit window, in-order commits, ticks on the caller ---
+
+// Byte equality of everything a result carries (memcmp, so -0.0 vs 0.0 or
+// differing NaN payloads would fail too).
+void ExpectSameBytes(const DcamResult& want, const DcamResult& got) {
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+  };
+  EXPECT_TRUE(same(want.mbar, got.mbar)) << "mbar differs";
+  EXPECT_TRUE(same(want.dcam, got.dcam)) << "dcam differs";
+  EXPECT_TRUE(same(want.mu, got.mu)) << "mu differs";
+  EXPECT_EQ(want.num_correct, got.num_correct);
+  EXPECT_EQ(want.k, got.k);
+}
+
+// Serial reference of a request stopped after `k` permutations.
+DcamResult SerialAt(models::GapModel* model, const Tensor& series, int cls,
+                    DcamOptions options, int k) {
+  options.k = k;
+  return ComputeDcamSerial(model, series, cls, options);
+}
+
+TEST(DcamEnginePipelineTest, BitIdenticalAcrossWindowsCadencesAndShapes) {
+  // Two models, so D varies across cases; n varies within a call.
+  Rng rng(71);
+  for (int D : {3, 5}) {
+    auto model = TinyDcnn(D, &rng, 3);
+    std::vector<Tensor> series;
+    std::vector<int> classes;
+    std::vector<DcamOptions> options;
+    for (int i = 0; i < 3; ++i) {
+      Tensor s({D, 9 + 4 * i});
+      s.FillNormal(&rng, 0.0f, 1.0f);
+      series.push_back(s);
+      classes.push_back(i % 3);
+      DcamOptions o;
+      o.k = 10 + 7 * i;  // 10, 17, 24: requests retire on different rounds
+      o.seed = 300 + 10 * D + i;
+      options.push_back(o);
+    }
+    for (int window : {1, 4, 7, 32}) {
+      DcamEngine::Config cfg;
+      cfg.batch = window;
+      DcamEngine engine(model.get(), cfg);
+      for (int tick_every : {1, 3, 16}) {
+        for (size_t count = 1; count <= 3; ++count) {
+          SCOPED_TRACE("D=" + std::to_string(D) +
+                       " window=" + std::to_string(window) +
+                       " tick_every=" + std::to_string(tick_every) +
+                       " requests=" + std::to_string(count));
+          const std::vector<Tensor> s(series.begin(), series.begin() + count);
+          const std::vector<int> c(classes.begin(), classes.begin() + count);
+          const std::vector<DcamOptions> o(options.begin(),
+                                           options.begin() + count);
+          DcamTickConfig ticks;
+          ticks.tick_every = tick_every;
+          ticks.emit_partial.assign(count, 0);
+          ticks.emit_partial[0] = 1;  // one request snapshots, the rest not
+          const std::vector<DcamResult> got = engine.ComputeMany(
+              s, c, o, ticks,
+              [](const DcamTick&) { return TickAction::kContinue; });
+          for (size_t i = 0; i < count; ++i) {
+            SCOPED_TRACE("request " + std::to_string(i));
+            EXPECT_FALSE(got[i].cancelled);
+            ExpectSameBytes(ComputeDcamSerial(model.get(), s[i], c[i], o[i]),
+                            got[i]);
+          }
+        }
+      }
+    }
+  }
+}
+
+// A cube-model decorator that counts forwards across all of its clones (the
+// engine's lanes), so a test can tell that lanes computed ahead.
+class CountingModel final : public models::GapModel {
+ public:
+  CountingModel(std::unique_ptr<models::GapModel> inner,
+                std::atomic<int>* forwards)
+      : inner_(std::move(inner)), forwards_(forwards) {}
+
+  std::string name() const override { return inner_->name(); }
+  int num_classes() const override { return inner_->num_classes(); }
+  Tensor PrepareInput(const Tensor& batch) const override {
+    return inner_->PrepareInput(batch);
+  }
+  Tensor Forward(const Tensor& input, bool training) override {
+    return inner_->Forward(input, training);
+  }
+  const Tensor& Infer(const Tensor& input) override {
+    forwards_->fetch_add(1);
+    return inner_->Infer(input);
+  }
+  Tensor Backward(const Tensor& grad_logits) override {
+    return inner_->Backward(grad_logits);
+  }
+  std::vector<nn::Parameter*> Params() override { return inner_->Params(); }
+  std::vector<std::pair<std::string, Tensor*>> Buffers() override {
+    return inner_->Buffers();
+  }
+  std::unique_ptr<models::Model> CloneArchitecture() const override {
+    std::unique_ptr<models::Model> arch = inner_->CloneArchitecture();
+    auto* gap = dynamic_cast<models::GapModel*>(arch.release());
+    return std::make_unique<CountingModel>(
+        std::unique_ptr<models::GapModel>(gap), forwards_);
+  }
+  const Tensor& last_activation() const override {
+    return inner_->last_activation();
+  }
+  const nn::Dense& head() const override { return inner_->head(); }
+
+ private:
+  std::unique_ptr<models::GapModel> inner_;
+  std::atomic<int>* forwards_;
+};
+
+TEST(DcamEnginePipelineTest, CancelDropsSlotsComputedAhead) {
+  Rng rng(72);
+  const int D = 4;
+  std::atomic<int> forwards{0};
+  CountingModel model(TinyDcnn(D, &rng), &forwards);
+  std::vector<Tensor> series;
+  for (int i = 0; i < 2; ++i) {
+    Tensor s({D, 12});
+    s.FillNormal(&rng, 0.0f, 1.0f);
+    series.push_back(s);
+  }
+  std::vector<DcamOptions> options(2);
+  options[0].k = 40;
+  options[0].seed = 51;
+  options[1].k = 40;
+  options[1].seed = 52;
+  DcamEngine::Config cfg;
+  cfg.batch = 32;
+  DcamEngine engine(&model, cfg);
+
+  // Draw order: [r0 0-3][r1 0-3][r0 4-7][r1 4-7]... Request 0's first tick
+  // runs after its 4th commit; while the callback holds the caller, the
+  // other lanes keep claiming up to the window edge, so request 0's slots
+  // 4-7 (slots 8-11) are computed before the verdict. The wait is bounded
+  // and only decides how much was speculated, never the results.
+  const bool has_workers = GlobalPool().num_threads() > 1;
+  int speculated = 0;
+  DcamTickConfig ticks;
+  ticks.tick_every = 4;
+  const std::vector<DcamResult> got = engine.ComputeMany(
+      series, {0, 1}, options, ticks, [&](const DcamTick& tick) {
+        if (tick.index != 0) return TickAction::kContinue;
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (has_workers && forwards.load() < 12 &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+        speculated = forwards.load();
+        return TickAction::kCancel;
+      });
+  EXPECT_TRUE(got[0].cancelled);
+  EXPECT_EQ(got[0].k, 4);
+  if (has_workers) EXPECT_GE(speculated, 12);
+  // Exactly the first k_done permutations, none of the speculated ones...
+  ExpectSameBytes(SerialAt(&model, series[0], 0, options[0], 4), got[0]);
+  // ...and the batch-mate is untouched.
+  EXPECT_FALSE(got[1].cancelled);
+  ExpectSameBytes(ComputeDcamSerial(&model, series[1], 1, options[1]),
+                  got[1]);
+}
+
+// Three requests of different lengths ticking on a 7-slot window; records
+// every tick.
+struct TickLog {
+  std::vector<std::thread::id> threads;
+  std::map<size_t, std::vector<int>> k_done;
+};
+
+TickLog RunTickLog(DcamEngine* engine, Rng* rng, int D, int tick_every) {
+  std::vector<Tensor> series;
+  std::vector<DcamOptions> options;
+  for (int i = 0; i < 3; ++i) {
+    Tensor s({D, 10 + 3 * i});
+    s.FillNormal(rng, 0.0f, 1.0f);
+    series.push_back(s);
+    DcamOptions o;
+    o.k = 20 + 5 * i;
+    o.seed = 80 + i;
+    options.push_back(o);
+  }
+  DcamTickConfig ticks;
+  ticks.tick_every = tick_every;
+  ticks.emit_partial = {1, 0, 1};
+  TickLog log;
+  engine->ComputeMany(series, {0, 1, 0}, options, ticks,
+                      [&](const DcamTick& tick) {
+                        log.threads.push_back(std::this_thread::get_id());
+                        log.k_done[tick.index].push_back(tick.k_done);
+                        return TickAction::kContinue;
+                      });
+  return log;
+}
+
+TEST(DcamEnginePipelineTest, TicksRunOnTheCallingThread) {
+  Rng rng(73);
+  const int D = 4;
+  auto model = TinyDcnn(D, &rng);
+  DcamEngine::Config cfg;
+  cfg.batch = 7;
+  DcamEngine engine(model.get(), cfg);
+  const TickLog log = RunTickLog(&engine, &rng, D, 3);
+  ASSERT_FALSE(log.threads.empty());
+  for (const std::thread::id& id : log.threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(DcamEnginePipelineTest, KDoneRisesMonotonicallyPerRequest) {
+  Rng rng(74);
+  const int D = 4;
+  auto model = TinyDcnn(D, &rng);
+  DcamEngine::Config cfg;
+  cfg.batch = 7;
+  DcamEngine engine(model.get(), cfg);
+  const TickLog log = RunTickLog(&engine, &rng, D, 3);
+  // k = 20, 25, 30 at cadence 3: ticks at 3, 6, ... below each budget.
+  ASSERT_EQ(log.k_done.size(), 3u);
+  for (const auto& [index, seen] : log.k_done) {
+    SCOPED_TRACE("request " + std::to_string(index));
+    const int k = 20 + 5 * static_cast<int>(index);
+    std::vector<int> want;
+    for (int t = 3; t < k; t += 3) want.push_back(t);
+    EXPECT_EQ(seen, want);
+  }
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -106,23 +105,29 @@ TEST(ThreadPoolMultiCallerTest, ShutdownDuringConcurrentCallsIsClean) {
   // that caller published its task inside ParallelFor, so once every flag is
   // set, no thread will touch the pool with a *new* call again — tearing it
   // down races only in-flight calls, which is the contract under test.
+  // Every iteration holds until main starts the teardown, so each call is
+  // still inside ParallelFor when the destructor begins, however slowly the
+  // threads started.
   std::atomic<bool> entered[kCallers] = {};
+  std::atomic<bool> teardown{false};
   std::atomic<int64_t> executed{0};
   std::vector<std::thread> callers;
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, raw, c] {
       raw->ParallelFor(0, kRange, [&, c](int64_t) {
         entered[c].store(true);
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        while (!teardown.load()) std::this_thread::yield();
         executed.fetch_add(1);
       });
     });
   }
-  // Wait until every caller's own call has iterations running, then tear
-  // the pool down underneath them.
+  // Wait until every caller's own call has an iteration held, then tear the
+  // pool down underneath them.
   for (int c = 0; c < kCallers; ++c) {
     while (!entered[c].load()) std::this_thread::yield();
   }
+  EXPECT_EQ(executed.load(), 0);  // nothing has passed the hold yet
+  teardown.store(true);
   pool.reset();
   for (auto& t : callers) t.join();
   EXPECT_EQ(executed.load(), kCallers * kRange);

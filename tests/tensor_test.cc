@@ -114,23 +114,30 @@ TEST(TensorTest, RowViewKeepsParentAlive) {
 }
 
 TEST(TensorTest, ScratchViewGrowsOnlyWhenTooSmall) {
-  Tensor buf;
-  Tensor a = ScratchView(&buf, {2, 3, 4});
+  Tensor buf, a, b, c;
+  ScratchView(&buf, {2, 3, 4}, &a);
   EXPECT_EQ(a.shape(), (Shape{2, 3, 4}));
   EXPECT_EQ(buf.size(), 24);
   EXPECT_EQ(a.data(), buf.data());
   a[5] = 7.0f;
   // A shape that fits views the same storage, contents kept.
   const float* storage = buf.data();
-  Tensor b = ScratchView(&buf, {1, 8});
+  ScratchView(&buf, {1, 8}, &b);
   EXPECT_EQ(b.data(), storage);
   EXPECT_EQ(b[5], 7.0f);
   EXPECT_EQ(buf.size(), 24);
-  // A larger one replaces the buffer; the old view keeps its own storage.
-  Tensor c = ScratchView(&buf, {5, 5});
+  // Re-viewing at the view's own shape keeps it as it is.
+  ScratchView(&buf, {1, 8}, &b);
+  EXPECT_EQ(b.shape(), (Shape{1, 8}));
+  EXPECT_EQ(b.data(), storage);
+  // A larger one replaces the buffer; the old views keep their own storage.
+  ScratchView(&buf, {5, 5}, &c);
   EXPECT_EQ(buf.size(), 25);
   EXPECT_EQ(c.data(), buf.data());
   EXPECT_EQ(a[5], 7.0f);
+  // A kept view whose buffer was replaced is re-pointed at the new one.
+  ScratchView(&buf, {1, 8}, &b);
+  EXPECT_EQ(b.data(), buf.data());
 }
 
 TEST(TensorTest, ReshapeWrongCountAborts) {
